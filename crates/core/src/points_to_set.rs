@@ -155,6 +155,24 @@ impl Rep {
         }
     }
 
+    /// Appends `e`; the caller keeps the order: `e`'s pair key is above
+    /// every key held.
+    fn push(&mut self, e: u64) {
+        match self {
+            Rep::Inline { len, buf } if (*len as usize) < INLINE => {
+                buf[*len as usize] = e;
+                *len += 1;
+            }
+            Rep::Inline { buf, .. } => {
+                let mut v = Vec::with_capacity(INLINE * 2);
+                v.extend_from_slice(buf);
+                v.push(e);
+                *self = Rep::Spilled(v);
+            }
+            Rep::Spilled(v) => v.push(e),
+        }
+    }
+
     fn from_sorted(v: Vec<u64>) -> Self {
         if v.len() <= INLINE {
             let mut buf = [0u64; INLINE];
@@ -205,6 +223,28 @@ impl PtSet {
     /// An empty set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Builds a set from triples given in strictly increasing
+    /// `(source, target)` order, appending each word without a search.
+    /// `None` if a pair repeats or comes out of order, or a target does
+    /// not fit the packed field; otherwise the set equals the one
+    /// [`PtSet::insert`] builds from the same triples.
+    pub fn from_sorted(triples: impl IntoIterator<Item = (LocId, LocId, Def)>) -> Option<PtSet> {
+        let mut rep = Rep::default();
+        let mut last = None;
+        for (src, tgt, d) in triples {
+            if tgt.0 >= 1 << 31 {
+                return None;
+            }
+            let e = pack(src, tgt, d);
+            if last.is_some_and(|k| e & KEY_MASK <= k) {
+                return None;
+            }
+            last = Some(e & KEY_MASK);
+            rep.push(e);
+        }
+        Some(PtSet { rep })
     }
 
     /// Number of triples.
@@ -640,6 +680,41 @@ mod tests {
         let mut b = PtSet::new();
         b.insert(l(0), l(0), Def::P);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn from_sorted_matches_insert_on_both_storage_modes() {
+        for n in [0u32, 1, 6, 7, 40] {
+            let triples: Vec<_> = (0..n)
+                .map(|i| (l(i / 3), l(i), if i % 2 == 0 { Def::D } else { Def::P }))
+                .collect();
+            let mut built = PtSet::new();
+            for &(s, t, d) in triples.iter().rev() {
+                built.insert(s, t, d);
+            }
+            assert_eq!(PtSet::from_sorted(triples), Some(built), "{n} triples");
+        }
+        let top = (l(u32::MAX), l((1 << 31) - 1), Def::D);
+        let s = PtSet::from_sorted([(l(0), l(0), Def::P), top]).unwrap();
+        assert_eq!(s.iter().last(), Some(top));
+    }
+
+    #[test]
+    fn from_sorted_rejects_order_violations() {
+        let (a, b) = ((l(1), l(2), Def::D), (l(1), l(3), Def::P));
+        assert!(PtSet::from_sorted([a, b]).is_some());
+        assert_eq!(PtSet::from_sorted([b, a]), None, "descending");
+        assert_eq!(PtSet::from_sorted([a, a]), None, "repeated triple");
+        assert_eq!(
+            PtSet::from_sorted([a, (l(1), l(2), Def::P)]),
+            None,
+            "same pair, other definiteness"
+        );
+        assert_eq!(PtSet::from_sorted([(l(0), l(1 << 31), Def::P)]), None);
+        // An order violation past the inline capacity is caught too.
+        let mut long: Vec<_> = (0..9).map(|i| (l(0), l(i), Def::P)).collect();
+        long.swap(7, 8);
+        assert_eq!(PtSet::from_sorted(long), None);
     }
 
     #[test]

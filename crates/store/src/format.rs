@@ -39,6 +39,7 @@ use pta_lint::Severity;
 use pta_simple::{CallSiteId, IrVarId, StmtId};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The magic token opening every snapshot.
 pub const MAGIC: &str = "pta-store";
@@ -166,8 +167,9 @@ pub struct Snapshot {
     pub nodes: Vec<NodeRow>,
     /// Root node id.
     pub root: Option<u32>,
-    /// Captured side outputs per node id.
-    pub captures: BTreeMap<u32, Capture>,
+    /// Captured side outputs per node id, shared with the run that
+    /// produced them and with the warm pairs harvested from them.
+    pub captures: BTreeMap<u32, Arc<Capture>>,
     /// Final merged per-statement facts.
     pub per_stmt: BTreeMap<StmtId, PtSet>,
     /// Final exit set of `main`.
@@ -204,22 +206,66 @@ impl Default for Snapshot {
 // String encoding
 // ---------------------------------------------------------------------
 
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends the decimal digits of `v`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf[i..].iter().for_each(|&d| out.push(char::from(d)));
+}
+
+fn push_u32(out: &mut String, v: u32) {
+    push_u64(out, u64::from(v));
+}
+
+fn push_usize(out: &mut String, v: usize) {
+    push_u64(out, v as u64);
+}
+
+/// The 16 lowercase hex digits of `v`, zero-padded.
+fn hex16(v: u64) -> [u8; 16] {
+    let mut buf = [0u8; 16];
+    for (i, b) in buf.iter_mut().enumerate() {
+        *b = HEX[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    buf
+}
+
+fn push_hex16(out: &mut String, v: u64) {
+    out.push_str(std::str::from_utf8(&hex16(v)).expect("ASCII hex"));
+}
+
 /// Percent-encodes a string into a single whitespace-free token. The
 /// empty string becomes a lone `%`.
 pub fn enc_str(s: &str) -> String {
-    if s.is_empty() {
-        return "%".to_owned();
-    }
     let mut out = String::with_capacity(s.len());
+    enc_str_into(&mut out, s);
+    out
+}
+
+fn enc_str_into(out: &mut String, s: &str) {
+    if s.is_empty() {
+        out.push('%');
+        return;
+    }
     for &b in s.as_bytes() {
         if b <= 0x20 || b == b'%' || b >= 0x7f {
             out.push('%');
-            out.push_str(&format!("{b:02x}"));
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
         } else {
             out.push(b as char);
         }
     }
-    out
 }
 
 /// Decodes [`enc_str`].
@@ -264,7 +310,7 @@ fn enc_ty_into(t: &Type, out: &mut String) {
         Type::Array(elem, n) => {
             out.push('A');
             match n {
-                Some(n) => out.push_str(&n.to_string()),
+                Some(n) => push_u64(out, *n),
                 None => out.push('?'),
             }
             out.push(';');
@@ -272,12 +318,12 @@ fn enc_ty_into(t: &Type, out: &mut String) {
         }
         Type::Struct(sid) => {
             out.push('s');
-            out.push_str(&sid.0.to_string());
+            push_u32(out, sid.0);
             out.push(';');
         }
         Type::Func(sig) => {
             out.push('f');
-            out.push_str(&sig.params.len().to_string());
+            push_usize(out, sig.params.len());
             out.push(';');
             for p in &sig.params {
                 enc_ty_into(p, out);
@@ -296,10 +342,10 @@ pub fn enc_ty(t: &Type) -> String {
 }
 
 /// Encodes an optional type (`-` is `None`).
-pub fn enc_opt_ty(t: &Option<Type>) -> String {
+fn enc_opt_ty_into(out: &mut String, t: &Option<Type>) {
     match t {
-        Some(t) => enc_ty(t),
-        None => "-".to_owned(),
+        Some(t) => enc_ty_into(t, out),
+        None => out.push('-'),
     }
 }
 
@@ -427,21 +473,100 @@ fn dec_def(s: &str) -> Result<Def, String> {
 
 /// Encodes a points-to set (`0` when empty).
 pub fn enc_ptset(s: &PtSet) -> String {
-    if s.is_empty() {
-        return "0".to_owned();
-    }
     let mut out = String::new();
+    enc_ptset_into(&mut out, s);
+    out
+}
+
+fn enc_ptset_into(out: &mut String, s: &PtSet) {
+    if s.is_empty() {
+        out.push('0');
+        return;
+    }
     for (i, (a, b, d)) in s.iter().enumerate() {
         if i > 0 {
             out.push(';');
         }
-        out.push_str(&format!("{},{},{}", a.0, b.0, def_tag(d)));
+        push_u32(out, a.0);
+        out.push(',');
+        push_u32(out, b.0);
+        out.push(',');
+        out.push_str(def_tag(d));
     }
-    out
 }
 
-/// Decodes [`enc_ptset`].
+/// Decodes [`enc_ptset`]: the canonical scanner when it accepts the
+/// token, else the general decoder. Both give the same set on every
+/// token the scanner accepts, so which one ran never shows.
 pub fn dec_ptset(tok: &str) -> Result<PtSet, String> {
+    dec_ptset_canonical(tok).map_or_else(|| dec_ptset_general(tok), Ok)
+}
+
+/// Decodes a token exactly as [`enc_ptset`] writes a non-empty set:
+/// digits without leading zeros, `,`, `D`/`P` and `;` only, pairs in
+/// strictly increasing `(source, target)` order, targets below 2³¹. One
+/// pass over the bytes, appending to the set without a search. `None`
+/// for anything else, which [`dec_ptset_general`] then decides.
+pub fn dec_ptset_canonical(tok: &str) -> Option<PtSet> {
+    let mut b = tok.as_bytes();
+    if b.is_empty() {
+        return None;
+    }
+    let mut ok = true;
+    let set = PtSet::from_sorted(std::iter::from_fn(|| {
+        if b.is_empty() {
+            return None;
+        }
+        let t = scan_triple(&mut b);
+        ok &= t.is_some();
+        t
+    }))?;
+    ok.then_some(set)
+}
+
+/// Scans `src,tgt,D|P` plus the `;` that must separate it from a next
+/// triple off the front of `b`.
+fn scan_triple(b: &mut &[u8]) -> Option<(LocId, LocId, Def)> {
+    let src = scan_u32(b, b',')?;
+    let tgt = scan_u32(b, b',')?;
+    let d = match b.first()? {
+        b'D' => Def::D,
+        b'P' => Def::P,
+        _ => return None,
+    };
+    *b = match &b[1..] {
+        [] => &[],
+        [b';', rest @ ..] if !rest.is_empty() => rest,
+        _ => return None,
+    };
+    Some((LocId(src), LocId(tgt), d))
+}
+
+/// Scans a canonical `u32` (no sign, no leading zero) and the `end`
+/// byte after it.
+fn scan_u32(b: &mut &[u8], end: u8) -> Option<u32> {
+    let mut v = 0u64;
+    for (i, &c) in b.iter().enumerate() {
+        if c == end {
+            if i == 0 || (i > 1 && b[0] == b'0') {
+                return None;
+            }
+            *b = &b[i + 1..];
+            return u32::try_from(v).ok();
+        }
+        let digit = c.wrapping_sub(b'0');
+        if digit > 9 || i == 10 {
+            return None;
+        }
+        v = v * 10 + u64::from(digit);
+    }
+    None
+}
+
+/// The general points-to set decoder: any token the canonical scanner
+/// declines, including non-canonical spellings the text form has always
+/// accepted (`+5`, leading zeros, unsorted or repeated pairs).
+pub fn dec_ptset_general(tok: &str) -> Result<PtSet, String> {
     let mut set = PtSet::new();
     if tok == "0" {
         return Ok(set);
@@ -466,10 +591,10 @@ pub fn dec_ptset(tok: &str) -> Result<PtSet, String> {
 }
 
 /// Encodes a flow value (`!` is ⊥).
-pub fn enc_flow(f: &Flow) -> String {
+fn enc_flow_into(out: &mut String, f: &Flow) {
     match f {
-        None => "!".to_owned(),
-        Some(s) => enc_ptset(s),
+        None => out.push('!'),
+        Some(s) => enc_ptset_into(out, s),
     }
 }
 
@@ -481,17 +606,25 @@ pub fn dec_flow(tok: &str) -> Result<Flow, String> {
     dec_ptset(tok).map(Some)
 }
 
-fn enc_base(b: &LocBase) -> String {
-    match b {
-        LocBase::Global(g) => format!("g{}", g.0),
-        LocBase::Var(f, v) => format!("V{}.{}", f.0, v.0),
-        LocBase::Symbolic(f, i) => format!("y{}.{}", f.0, i),
-        LocBase::Heap => "h".to_owned(),
-        LocBase::HeapSite(s) => format!("H{s}"),
-        LocBase::Null => "n".to_owned(),
-        LocBase::StrLit => "S".to_owned(),
-        LocBase::Function(f) => format!("F{}", f.0),
-        LocBase::Ret(f) => format!("r{}", f.0),
+fn enc_base_into(out: &mut String, b: &LocBase) {
+    let (tag, nums) = match *b {
+        LocBase::Global(g) => ('g', [Some(g.0), None]),
+        LocBase::Var(f, v) => ('V', [Some(f.0), Some(v.0)]),
+        LocBase::Symbolic(f, i) => ('y', [Some(f.0), Some(i)]),
+        LocBase::Heap => ('h', [None, None]),
+        LocBase::HeapSite(s) => ('H', [Some(s), None]),
+        LocBase::Null => ('n', [None, None]),
+        LocBase::StrLit => ('S', [None, None]),
+        LocBase::Function(f) => ('F', [Some(f.0), None]),
+        LocBase::Ret(f) => ('r', [Some(f.0), None]),
+    };
+    out.push(tag);
+    if let Some(a) = nums[0] {
+        push_u32(out, a);
+    }
+    if let Some(b) = nums[1] {
+        out.push('.');
+        push_u32(out, b);
     }
 }
 
@@ -526,11 +659,11 @@ fn dec_base(tok: &str) -> Result<LocBase, String> {
     }
 }
 
-fn enc_projs(ps: &[Proj]) -> String {
+fn enc_projs_into(out: &mut String, ps: &[Proj]) {
     if ps.is_empty() {
-        return "-".to_owned();
+        out.push('-');
+        return;
     }
-    let mut out = String::new();
     for (i, p) in ps.iter().enumerate() {
         if i > 0 {
             out.push('/');
@@ -538,13 +671,12 @@ fn enc_projs(ps: &[Proj]) -> String {
         match p {
             Proj::Field(f) => {
                 out.push('f');
-                out.push_str(&enc_str(f));
+                enc_str_into(out, f);
             }
             Proj::Head => out.push('h'),
             Proj::Tail => out.push('t'),
         }
     }
-    out
 }
 
 fn dec_projs(tok: &str) -> Result<Vec<Proj>, String> {
@@ -561,10 +693,10 @@ fn dec_projs(tok: &str) -> Result<Vec<Proj>, String> {
         .collect()
 }
 
-fn enc_opt_u32(v: Option<u32>) -> String {
+fn enc_opt_u32_into(out: &mut String, v: Option<u32>) {
     match v {
-        Some(v) => v.to_string(),
-        None => "-".to_owned(),
+        Some(v) => push_u32(out, v),
+        None => out.push('-'),
     }
 }
 
@@ -607,15 +739,20 @@ fn dec_via(tok: &str) -> Result<EscapeVia, String> {
     }
 }
 
-fn enc_escape(e: &EscapeEvent) -> String {
-    format!(
-        "{} {} {} {} {}",
-        e.callee.0,
-        e.call_site.0,
-        via_tag(e.via),
-        def_tag(e.def),
-        enc_str(&e.local)
-    )
+/// Appends an escape row: its tag, the event's fields and the newline.
+fn enc_escape_row(out: &mut String, tag: &str, e: &EscapeEvent) {
+    out.push_str(tag);
+    out.push(' ');
+    push_u32(out, e.callee.0);
+    out.push(' ');
+    push_u32(out, e.call_site.0);
+    out.push(' ');
+    out.push_str(via_tag(e.via));
+    out.push(' ');
+    out.push_str(def_tag(e.def));
+    out.push(' ');
+    enc_str_into(out, &e.local);
+    out.push('\n');
 }
 
 fn dec_severity(tok: &str) -> Result<Severity, String> {
@@ -645,134 +782,240 @@ fn dec_fidelity(tok: &str) -> Result<Fidelity, String> {
 // Serialization
 // ---------------------------------------------------------------------
 
+/// The checksum line's value before the payload is hashed; patched in
+/// place once it is.
+const CSUM_PLACEHOLDER: &str = "0000000000000000";
+
+/// Appends `tag` and a count: a section header such as `funcs 59`.
+fn push_count_line(out: &mut String, tag: &str, n: usize) {
+    out.push_str(tag);
+    out.push(' ');
+    push_usize(out, n);
+    out.push('\n');
+}
+
+/// Appends `tag`, a statement id and its set: a `cp` or `rp` row.
+fn push_set_row(out: &mut String, tag: &str, id: StmtId, set: &PtSet) {
+    out.push_str(tag);
+    out.push(' ');
+    push_u32(out, id.0);
+    out.push(' ');
+    enc_ptset_into(out, set);
+    out.push('\n');
+}
+
 /// Renders a snapshot as its canonical text form (header, checksum,
 /// payload). Serializing the same snapshot always yields the same
 /// bytes.
+///
+/// Every row is written straight into the one output buffer; the
+/// checksum line holds a placeholder until the payload is done and is
+/// then patched in place.
 pub fn serialize(snap: &Snapshot) -> String {
-    use std::fmt::Write as _;
-    let mut p = String::new();
-    let _ = writeln!(p, "skeleton {:016x}", snap.skeleton);
-    let _ = writeln!(p, "config {:016x}", snap.config);
-    let _ = writeln!(p, "funcs {}", snap.functions.len());
+    let mut out = String::new();
+    out.push_str(MAGIC);
+    out.push(' ');
+    out.push_str(SCHEMA_VERSION);
+    out.push_str("\nchecksum ");
+    let csum_at = out.len();
+    out.push_str(CSUM_PLACEHOLDER);
+    out.push('\n');
+    let payload_at = out.len();
+
+    out.push_str("skeleton ");
+    push_hex16(&mut out, snap.skeleton);
+    out.push_str("\nconfig ");
+    push_hex16(&mut out, snap.config);
+    out.push('\n');
+    push_count_line(&mut out, "funcs", snap.functions.len());
     for f in &snap.functions {
-        let _ = writeln!(p, "fn {} {:016x} {}", f.func, f.fp, enc_str(&f.name));
+        out.push_str("fn ");
+        push_u32(&mut out, f.func);
+        out.push(' ');
+        push_hex16(&mut out, f.fp);
+        out.push(' ');
+        enc_str_into(&mut out, &f.name);
+        out.push('\n');
     }
-    let _ = writeln!(p, "syms {}", snap.syms.len());
+    push_count_line(&mut out, "syms", snap.syms.len());
     for s in &snap.syms {
-        let _ = writeln!(
-            p,
-            "sym {} {} {} {}",
-            s.func.0,
-            s.depth,
-            enc_str(&s.name),
-            enc_opt_ty(&s.ty)
-        );
+        out.push_str("sym ");
+        push_u32(&mut out, s.func.0);
+        out.push(' ');
+        push_u32(&mut out, s.depth);
+        out.push(' ');
+        enc_str_into(&mut out, &s.name);
+        out.push(' ');
+        enc_opt_ty_into(&mut out, &s.ty);
+        out.push('\n');
     }
-    let _ = writeln!(p, "locs {}", snap.locs.len());
+    push_count_line(&mut out, "locs", snap.locs.len());
     for l in &snap.locs {
-        let _ = writeln!(
-            p,
-            "loc {} {} {} {}",
-            enc_base(&l.base),
-            enc_projs(&l.projs),
-            enc_opt_ty(&l.ty),
-            enc_str(&l.name)
-        );
+        out.push_str("loc ");
+        enc_base_into(&mut out, &l.base);
+        out.push(' ');
+        enc_projs_into(&mut out, &l.projs);
+        out.push(' ');
+        enc_opt_ty_into(&mut out, &l.ty);
+        out.push(' ');
+        enc_str_into(&mut out, &l.name);
+        out.push('\n');
     }
-    let _ = writeln!(p, "ig {} {}", snap.nodes.len(), enc_opt_u32(snap.root));
+    out.push_str("ig ");
+    push_usize(&mut out, snap.nodes.len());
+    out.push(' ');
+    enc_opt_u32_into(&mut out, snap.root);
+    out.push('\n');
     for n in &snap.nodes {
-        let _ = writeln!(
-            p,
-            "node {} {} {} {} {} {} {}",
-            n.func,
-            enc_opt_u32(n.parent),
-            kind_tag(n.kind),
-            enc_opt_u32(n.rec),
-            u8::from(n.memo_valid),
-            match &n.stored_input {
-                Some(s) => enc_ptset(s),
-                None => "!".to_owned(),
-            },
-            enc_flow(&n.stored_output)
-        );
-        let mut mi = format!("mi {}", n.map_info.len());
+        out.push_str("node ");
+        push_u32(&mut out, n.func);
+        out.push(' ');
+        enc_opt_u32_into(&mut out, n.parent);
+        out.push(' ');
+        out.push_str(kind_tag(n.kind));
+        out.push(' ');
+        enc_opt_u32_into(&mut out, n.rec);
+        out.push_str(if n.memo_valid { " 1 " } else { " 0 " });
+        match &n.stored_input {
+            Some(s) => enc_ptset_into(&mut out, s),
+            None => out.push('!'),
+        }
+        out.push(' ');
+        enc_flow_into(&mut out, &n.stored_output);
+        out.push_str("\nmi ");
+        push_usize(&mut out, n.map_info.len());
         for (k, v) in &n.map_info {
-            let reps: Vec<String> = v.iter().map(|l| l.0.to_string()).collect();
-            let _ = write!(mi, " {}={}", k.0, reps.join(","));
+            out.push(' ');
+            push_u32(&mut out, k.0);
+            out.push('=');
+            for (i, l) in v.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_u32(&mut out, l.0);
+            }
         }
-        p.push_str(&mi);
-        p.push('\n');
-        let mut ch = format!("ch {}", n.children.len());
-        for (cs, f, id) in &n.children {
-            let _ = write!(ch, " {cs},{f},{id}");
+        out.push_str("\nch ");
+        push_usize(&mut out, n.children.len());
+        for &(cs, f, id) in &n.children {
+            out.push(' ');
+            push_u32(&mut out, cs);
+            out.push(',');
+            push_u32(&mut out, f);
+            out.push(',');
+            push_u32(&mut out, id);
         }
-        p.push_str(&ch);
-        p.push('\n');
+        out.push('\n');
     }
-    let _ = writeln!(p, "caps {}", snap.captures.len());
-    for (node, cap) in &snap.captures {
-        let _ = writeln!(
-            p,
-            "cap {} {} {} {} {}",
-            node,
-            u8::from(cap.complete),
-            cap.per_stmt.len(),
-            cap.warnings.len(),
-            cap.escapes.len()
-        );
-        for (id, set) in &cap.per_stmt {
-            let _ = writeln!(p, "cp {} {}", id.0, enc_ptset(set));
+    push_count_line(&mut out, "caps", snap.captures.len());
+    for (&node, cap) in &snap.captures {
+        out.push_str("cap ");
+        push_u32(&mut out, node);
+        out.push_str(if cap.complete { " 1 " } else { " 0 " });
+        push_usize(&mut out, cap.per_stmt.len());
+        out.push(' ');
+        push_usize(&mut out, cap.warnings.len());
+        out.push(' ');
+        push_usize(&mut out, cap.escapes.len());
+        out.push('\n');
+        for (&id, set) in &cap.per_stmt {
+            push_set_row(&mut out, "cp", id, set);
         }
         for w in &cap.warnings {
-            let _ = writeln!(p, "cw {}", enc_str(w));
+            out.push_str("cw ");
+            enc_str_into(&mut out, w);
+            out.push('\n');
         }
         for e in &cap.escapes {
-            let _ = writeln!(p, "ce {}", enc_escape(e));
+            enc_escape_row(&mut out, "ce", e);
         }
     }
-    let _ = writeln!(p, "result");
-    let _ = writeln!(p, "rs {}", snap.per_stmt.len());
-    for (id, set) in &snap.per_stmt {
-        let _ = writeln!(p, "rp {} {}", id.0, enc_ptset(set));
+    out.push_str("result\n");
+    push_count_line(&mut out, "rs", snap.per_stmt.len());
+    for (&id, set) in &snap.per_stmt {
+        push_set_row(&mut out, "rp", id, set);
     }
-    let _ = writeln!(p, "exit {}", enc_ptset(&snap.exit_set));
-    let _ = writeln!(p, "warns {}", snap.warnings.len());
+    out.push_str("exit ");
+    enc_ptset_into(&mut out, &snap.exit_set);
+    out.push('\n');
+    push_count_line(&mut out, "warns", snap.warnings.len());
     for w in &snap.warnings {
-        let _ = writeln!(p, "w {}", enc_str(w));
+        out.push_str("w ");
+        enc_str_into(&mut out, w);
+        out.push('\n');
     }
-    let _ = writeln!(p, "escs {}", snap.escapes.len());
+    push_count_line(&mut out, "escs", snap.escapes.len());
     for e in &snap.escapes {
-        let _ = writeln!(p, "e {}", enc_escape(e));
+        enc_escape_row(&mut out, "e", e);
     }
-    let _ = writeln!(p, "lint {}", snap.lint.len());
+    push_count_line(&mut out, "lint", snap.lint.len());
     for l in &snap.lint {
-        let _ = writeln!(
-            p,
-            "l {} {} {} {} {} {} {} {} {} {}",
-            enc_str(&l.check_id),
-            l.severity.tag(),
-            l.fidelity.tag(),
-            enc_opt_u32(l.stmt),
-            l.span.0,
-            l.span.1,
-            l.span.2,
-            l.span.3,
-            enc_str(&l.function),
-            enc_str(&l.message)
-        );
+        out.push_str("l ");
+        enc_str_into(&mut out, &l.check_id);
+        out.push(' ');
+        out.push_str(l.severity.tag());
+        out.push(' ');
+        out.push_str(l.fidelity.tag());
+        out.push(' ');
+        enc_opt_u32_into(&mut out, l.stmt);
+        out.push(' ');
+        push_usize(&mut out, l.span.0);
+        out.push(' ');
+        push_usize(&mut out, l.span.1);
+        out.push(' ');
+        push_u32(&mut out, l.span.2);
+        out.push(' ');
+        push_u32(&mut out, l.span.3);
+        out.push(' ');
+        enc_str_into(&mut out, &l.function);
+        out.push(' ');
+        enc_str_into(&mut out, &l.message);
+        out.push('\n');
     }
-    let _ = writeln!(p, "end");
+    out.push_str("end\n");
 
-    let mut out = String::with_capacity(p.len() + 64);
-    let _ = writeln!(out, "{MAGIC} {SCHEMA_VERSION}");
-    let _ = writeln!(out, "checksum {:016x}", fnv1a(p.as_bytes()));
-    out.push_str(&p);
+    let csum = hex16(fnv1a(&out.as_bytes()[payload_at..]));
+    out.replace_range(
+        csum_at..csum_at + CSUM_PLACEHOLDER.len(),
+        std::str::from_utf8(&csum).expect("ASCII hex"),
+    );
     out
 }
 
 // ---------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------
+
+/// Most tokens a fixed-shape row has (`l` rows have 11).
+const MAX_TOKS: usize = 11;
+
+/// One line split into tokens without allocating: the first
+/// [`MAX_TOKS`] tokens, plus the whole line for rows with a variable
+/// number of entries (`mi`, `ch`).
+struct Row<'a> {
+    line: &'a str,
+    toks: [&'a str; MAX_TOKS],
+    n: usize,
+}
+
+impl<'a> Row<'a> {
+    fn new(line: &'a str) -> Row<'a> {
+        let mut row = Row {
+            line,
+            toks: [""; MAX_TOKS],
+            n: 0,
+        };
+        for (slot, t) in row.toks.iter_mut().zip(line.split(' ')) {
+            *slot = t;
+            row.n += 1;
+        }
+        row
+    }
+
+    fn get(&self, at: usize) -> Option<&'a str> {
+        self.toks[..self.n].get(at).copied()
+    }
+}
 
 struct Parser<'a> {
     lines: std::str::Lines<'a>,
@@ -788,7 +1031,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Next line split into tokens; the first token must equal `tag`.
-    fn line(&mut self, tag: &str) -> Result<Vec<&'a str>, StoreError> {
+    fn line(&mut self, tag: &str) -> Result<Row<'a>, StoreError> {
         let Some(l) = self.lines.next() else {
             return Err(StoreError::Corrupt {
                 line: self.line_no + 1,
@@ -796,17 +1039,14 @@ impl<'a> Parser<'a> {
             });
         };
         self.line_no += 1;
-        let toks: Vec<&str> = l.split(' ').collect();
-        if toks.first() != Some(&tag) {
-            return self.err(format!(
-                "expected a `{tag}` line, found `{}`",
-                toks.first().unwrap_or(&"")
-            ));
+        let row = Row::new(l);
+        if row.toks[0] != tag {
+            return self.err(format!("expected a `{tag}` line, found `{}`", row.toks[0]));
         }
-        Ok(toks)
+        Ok(row)
     }
 
-    fn count(&self, toks: &[&str], at: usize) -> Result<usize, StoreError> {
+    fn count(&self, toks: &Row, at: usize) -> Result<usize, StoreError> {
         toks.get(at)
             .and_then(|t| t.parse().ok())
             .ok_or(StoreError::Corrupt {
@@ -815,14 +1055,14 @@ impl<'a> Parser<'a> {
             })
     }
 
-    fn tok<'b>(&self, toks: &[&'b str], at: usize) -> Result<&'b str, StoreError> {
-        toks.get(at).copied().ok_or(StoreError::Corrupt {
+    fn tok<'b>(&self, toks: &Row<'b>, at: usize) -> Result<&'b str, StoreError> {
+        toks.get(at).ok_or(StoreError::Corrupt {
             line: self.line_no,
             msg: "missing token".to_owned(),
         })
     }
 
-    fn u32_at(&self, toks: &[&str], at: usize) -> Result<u32, StoreError> {
+    fn u32_at(&self, toks: &Row, at: usize) -> Result<u32, StoreError> {
         self.tok(toks, at)?
             .parse()
             .map_err(|_| StoreError::Corrupt {
@@ -831,7 +1071,7 @@ impl<'a> Parser<'a> {
             })
     }
 
-    fn hex_at(&self, toks: &[&str], at: usize) -> Result<u64, StoreError> {
+    fn hex_at(&self, toks: &Row, at: usize) -> Result<u64, StoreError> {
         u64::from_str_radix(self.tok(toks, at)?, 16).map_err(|_| StoreError::Corrupt {
             line: self.line_no,
             msg: "bad hex value".to_owned(),
@@ -947,8 +1187,11 @@ pub fn parse(text: &str) -> Result<Snapshot, StoreError> {
         };
         let t = p.line("mi")?;
         let k = p.count(&t, 1)?;
-        for i in 0..k {
-            let entry = p.tok(&t, 2 + i)?;
+        let mut entries = t.line.split(' ').skip(2);
+        for _ in 0..k {
+            let Some(entry) = entries.next() else {
+                return p.err("missing token");
+            };
             let Some((key, reps)) = entry.split_once('=') else {
                 return p.err("bad map-info entry");
             };
@@ -969,17 +1212,18 @@ pub fn parse(text: &str) -> Result<Snapshot, StoreError> {
         }
         let t = p.line("ch")?;
         let k = p.count(&t, 1)?;
-        for i in 0..k {
-            let entry = p.tok(&t, 2 + i)?;
-            let parts: Vec<&str> = entry.split(',').collect();
-            if parts.len() != 3 {
-                return p.err("bad child entry");
-            }
-            let nums: Option<Vec<u32>> = parts.iter().map(|s| s.parse().ok()).collect();
-            let Some(nums) = nums else {
+        let mut entries = t.line.split(' ').skip(2);
+        for _ in 0..k {
+            let Some(entry) = entries.next() else {
+                return p.err("missing token");
+            };
+            let mut parts = entry.split(',').map(str::parse::<u32>);
+            let (Some(Ok(cs)), Some(Ok(f)), Some(Ok(id)), None) =
+                (parts.next(), parts.next(), parts.next(), parts.next())
+            else {
                 return p.err("bad child entry");
             };
-            row.children.push((nums[0], nums[1], nums[2]));
+            row.children.push((cs, f, id));
         }
         snap.nodes.push(row);
     }
@@ -1006,7 +1250,7 @@ pub fn parse(text: &str) -> Result<Snapshot, StoreError> {
             let t = p.line("ce")?;
             cap.escapes.push(parse_escape(&p, &t)?);
         }
-        snap.captures.insert(node, cap);
+        snap.captures.insert(node, Arc::new(cap));
     }
 
     p.line("result")?;
@@ -1060,14 +1304,14 @@ pub fn parse(text: &str) -> Result<Snapshot, StoreError> {
     Ok(snap)
 }
 
-fn self_parse(p: &Parser, toks: &[&str], at: usize) -> Result<usize, StoreError> {
+fn self_parse(p: &Parser, toks: &Row, at: usize) -> Result<usize, StoreError> {
     p.tok(toks, at)?.parse().map_err(|_| StoreError::Corrupt {
         line: p.line_no,
         msg: "bad number".to_owned(),
     })
 }
 
-fn parse_escape(p: &Parser, toks: &[&str]) -> Result<EscapeEvent, StoreError> {
+fn parse_escape(p: &Parser, toks: &Row) -> Result<EscapeEvent, StoreError> {
     Ok(EscapeEvent {
         callee: FuncId(p.u32_at(toks, 1)?),
         call_site: CallSiteId(p.u32_at(toks, 2)?),
@@ -1080,6 +1324,7 @@ fn parse_escape(p: &Parser, toks: &[&str]) -> Result<EscapeEvent, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pta_core::invocation_graph::MapInfo;
 
     #[test]
     fn string_roundtrip_covers_awkward_bytes() {
@@ -1143,10 +1388,14 @@ mod tests {
             LocBase::Ret(FuncId(6)),
         ];
         for b in bases {
-            assert_eq!(dec_base(&enc_base(&b)).unwrap(), b);
+            let mut enc = String::new();
+            enc_base_into(&mut enc, &b);
+            assert_eq!(dec_base(&enc).unwrap(), b);
         }
         let projs = vec![Proj::Field("next".into()), Proj::Head, Proj::Tail];
-        assert_eq!(dec_projs(&enc_projs(&projs)).unwrap(), projs);
+        let mut enc = String::new();
+        enc_projs_into(&mut enc, &projs);
+        assert_eq!(dec_projs(&enc).unwrap(), projs);
         assert_eq!(dec_projs("-").unwrap(), Vec::<Proj>::new());
     }
 
@@ -1172,5 +1421,246 @@ mod tests {
             parse(&damaged),
             Err(StoreError::Checksum) | Err(StoreError::Corrupt { .. })
         ));
+    }
+
+    /// A snapshot with every row kind and every optional field both ways.
+    fn every_row_kind() -> Snapshot {
+        let set = |ts: &[(u32, u32, Def)]| -> PtSet {
+            ts.iter()
+                .map(|&(a, b, d)| (LocId(a), LocId(b), d))
+                .collect()
+        };
+        let escape = |via, def| EscapeEvent {
+            callee: FuncId(1),
+            call_site: CallSiteId(4),
+            via,
+            local: "buf x".to_owned(),
+            def,
+        };
+        let mut cap = Capture::new();
+        cap.per_stmt.insert(StmtId(3), set(&[(0, 1, Def::D)]));
+        cap.per_stmt.insert(StmtId(9), PtSet::new());
+        cap.warnings.push("w%1".to_owned());
+        cap.escapes.push(escape(EscapeVia::Unmap, Def::P));
+        let mut incomplete = Capture::new();
+        incomplete.complete = false;
+        let ty = Type::Func(Box::new(FuncSig {
+            ret: Type::Int.ptr_to(),
+            params: vec![Type::Array(Box::new(Type::Struct(StructId(2))), Some(12))],
+            variadic: true,
+        }));
+        let mut map_info = MapInfo::new();
+        map_info.insert(LocId(5), vec![LocId(1), LocId(2)]);
+        map_info.insert(LocId(6), Vec::new());
+        let loc = |base, projs, ty, name: &str| LocData {
+            base,
+            projs,
+            ty,
+            name: name.to_owned(),
+        };
+        let mut wide = PtSet::new();
+        for i in 0..8 {
+            wide.insert(LocId(i / 3), LocId(1000 + i), Def::P);
+        }
+        wide.insert(LocId(u32::MAX), LocId(u32::MAX >> 1), Def::D);
+        Snapshot {
+            skeleton: 0x0123_4567_89ab_cdef,
+            config: 7,
+            functions: vec![
+                FnRow {
+                    func: 0,
+                    fp: u64::MAX,
+                    name: "main".to_owned(),
+                },
+                FnRow {
+                    func: 1,
+                    fp: 0,
+                    name: String::new(),
+                },
+            ],
+            syms: vec![
+                SymbolicData {
+                    func: FuncId(1),
+                    depth: 2,
+                    name: "2_p".to_owned(),
+                    ty: Some(ty.clone()),
+                },
+                SymbolicData {
+                    func: FuncId(0),
+                    depth: 1,
+                    name: "1_q".to_owned(),
+                    ty: None,
+                },
+            ],
+            locs: vec![
+                loc(
+                    LocBase::Global(GlobalId(0)),
+                    Vec::new(),
+                    Some(Type::Int),
+                    "g",
+                ),
+                loc(
+                    LocBase::Var(FuncId(1), IrVarId(3)),
+                    vec![Proj::Field("next".into()), Proj::Head],
+                    Some(ty),
+                    "s.next",
+                ),
+                loc(
+                    LocBase::Symbolic(FuncId(1), 0),
+                    vec![Proj::Tail],
+                    None,
+                    "2_p",
+                ),
+                loc(LocBase::Heap, Vec::new(), None, "heap"),
+                loc(LocBase::HeapSite(17), Vec::new(), None, "heap@s17"),
+                loc(LocBase::Null, Vec::new(), None, "null"),
+                loc(
+                    LocBase::StrLit,
+                    Vec::new(),
+                    Some(Type::Array(Box::new(Type::Char), None)),
+                    "str lit",
+                ),
+                loc(LocBase::Function(FuncId(1)), Vec::new(), None, "f"),
+                loc(
+                    LocBase::Ret(FuncId(1)),
+                    Vec::new(),
+                    Some(Type::Void.ptr_to()),
+                    "ret_f",
+                ),
+            ],
+            nodes: vec![
+                NodeRow {
+                    func: 0,
+                    parent: None,
+                    kind: IgKind::Ordinary,
+                    rec: None,
+                    memo_valid: true,
+                    stored_input: Some(set(&[(0, 1, Def::D), (2, 3, Def::P)])),
+                    stored_output: Some(wide.clone()),
+                    map_info,
+                    children: vec![(0, 1, 1), (4, 1, 2)],
+                },
+                NodeRow {
+                    func: 1,
+                    parent: Some(0),
+                    kind: IgKind::Recursive,
+                    rec: None,
+                    memo_valid: false,
+                    stored_input: Some(PtSet::new()),
+                    stored_output: None,
+                    map_info: MapInfo::new(),
+                    children: Vec::new(),
+                },
+                NodeRow {
+                    func: 1,
+                    parent: Some(0),
+                    kind: IgKind::Approximate,
+                    rec: Some(1),
+                    memo_valid: false,
+                    stored_input: None,
+                    stored_output: Some(PtSet::new()),
+                    map_info: MapInfo::new(),
+                    children: Vec::new(),
+                },
+            ],
+            root: Some(0),
+            captures: [(0, Arc::new(cap)), (2, Arc::new(incomplete))]
+                .into_iter()
+                .collect(),
+            per_stmt: [(StmtId(0), wide), (StmtId(12), PtSet::new())]
+                .into_iter()
+                .collect(),
+            exit_set: set(&[(7, 0, Def::P)]),
+            warnings: vec!["two words".to_owned(), String::new()],
+            escapes: vec![
+                escape(EscapeVia::Return, Def::D),
+                escape(EscapeVia::Unmap, Def::P),
+            ],
+            lint: vec![
+                LintRow {
+                    check_id: "null-deref".to_owned(),
+                    severity: Severity::Error,
+                    fidelity: Fidelity::ContextSensitive,
+                    function: "main".to_owned(),
+                    stmt: Some(3),
+                    span: (10, 24, 2, 5),
+                    message: "dereference of `p`, which may be NULL".to_owned(),
+                },
+                LintRow {
+                    check_id: "dead-store".to_owned(),
+                    severity: Severity::Warning,
+                    fidelity: Fidelity::Steensgaard,
+                    function: "f".to_owned(),
+                    stmt: None,
+                    span: (0, 0, 0, 0),
+                    message: "é\ttab".to_owned(),
+                },
+            ],
+        }
+    }
+
+    /// [`every_row_kind`] as the text format has always spelled it.
+    const EVERY_ROW_KIND: &str = r#"pta-store pta.v1
+checksum b40ea8bc9746a7ff
+skeleton 0123456789abcdef
+config 0000000000000007
+funcs 2
+fn 0 ffffffffffffffff main
+fn 1 0000000000000000 %
+syms 2
+sym 1 2 2_p f1;A12;s2;Vpi
+sym 0 1 1_q -
+locs 9
+loc g0 - i g
+loc V1.3 fnext/h f1;A12;s2;Vpi s.next
+loc y1.0 t - 2_p
+loc h - - heap
+loc H17 - - heap@s17
+loc n - - null
+loc S - A?;c str%20lit
+loc F1 - - f
+loc r1 - pv ret_f
+ig 3 0
+node 0 - o - 1 0,1,D;2,3,P 0,1000,P;0,1001,P;0,1002,P;1,1003,P;1,1004,P;1,1005,P;2,1006,P;2,1007,P;4294967295,2147483647,D
+mi 2 5=1,2 6=
+ch 2 0,1,1 4,1,2
+node 1 0 r - 0 0 !
+mi 0
+ch 0
+node 1 0 a 1 0 ! 0
+mi 0
+ch 0
+caps 2
+cap 0 1 2 1 1
+cp 3 0,1,D
+cp 9 0
+cw w%251
+ce 1 4 u P buf%20x
+cap 2 0 0 0 0
+result
+rs 2
+rp 0 0,1000,P;0,1001,P;0,1002,P;1,1003,P;1,1004,P;1,1005,P;2,1006,P;2,1007,P;4294967295,2147483647,D
+rp 12 0
+exit 7,0,P
+warns 2
+w two%20words
+w %
+escs 2
+e 1 4 r D buf%20x
+e 1 4 u P buf%20x
+lint 2
+l null-deref error context-sensitive 3 10 24 2 5 main dereference%20of%20`p`,%20which%20may%20be%20NULL
+l dead-store warning steensgaard - 0 0 0 0 f %c3%a9%09tab
+end
+"#;
+
+    #[test]
+    fn every_row_kind_keeps_its_bytes() {
+        let text = serialize(&every_row_kind());
+        for (i, (got, want)) in text.lines().zip(EVERY_ROW_KIND.lines()).enumerate() {
+            assert_eq!(got, want, "line {}", i + 1);
+        }
+        assert_eq!(text, EVERY_ROW_KIND);
+        assert_eq!(serialize(&parse(EVERY_ROW_KIND).unwrap()), EVERY_ROW_KIND);
     }
 }

@@ -123,11 +123,7 @@ impl Snapshot {
             } else {
                 Some(result.ig.root().0)
             },
-            captures: run
-                .node_captures
-                .iter()
-                .map(|(&n, c)| (n, (**c).clone()))
-                .collect(),
+            captures: run.node_captures.clone(),
             per_stmt: result.per_stmt.clone(),
             exit_set: result.exit_set.clone(),
             warnings: result.warnings.clone(),
@@ -528,7 +524,7 @@ pub fn warm_start(
             WarmPair {
                 input: input.clone(),
                 output: node.stored_output.clone(),
-                capture: std::sync::Arc::new(cap.clone()),
+                capture: std::sync::Arc::clone(cap),
                 fragment,
             },
         ) {

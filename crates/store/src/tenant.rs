@@ -313,6 +313,9 @@ fn build_tenant(
     };
     let inc = analyze_incremental(&ir, config, snap.as_ref())
         .map_err(|e| format!("`{}`: {e}", spec.name))?;
+    // The old snapshot is spent: free it before lint and the new
+    // snapshot's build and save, so a reload never holds both.
+    drop(snap);
     let mode = match &inc.mode {
         WarmMode::Warm {
             seed_hits, dirty, ..
@@ -403,6 +406,7 @@ fn build_demand_tenant(
             };
             let inc = analyze_incremental(&builder_ir, &builder_config, snap.as_ref())
                 .map_err(|e| format!("`{name}`: {e}"))?;
+            drop(snap);
             let mode = match &inc.mode {
                 WarmMode::Warm {
                     seed_hits, dirty, ..
@@ -694,10 +698,9 @@ mod tests {
         );
         let (r1, _) = router.handle_text(&q);
         assert!(r1.contains("\"ok\":true"), "{r1}");
-        // Touch the source without changing it (stamp moves, bytes
-        // identical modulo a trailing newline the front end ignores...
-        // actually rewrite the same bytes; length is equal but mtime
-        // moves, which is enough to trigger a reload).
+        // Rewrite the source with identical bytes: the length stays the
+        // same and only the mtime moves, which is enough to trigger a
+        // reload.
         std::thread::sleep(std::time::Duration::from_millis(20));
         std::fs::write(&src, PROG_A).unwrap();
         let (r2, _) = router.handle_text(&q);

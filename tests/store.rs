@@ -4,12 +4,17 @@
 
 use pta_benchsuite::SUITE;
 use pta_core::analysis::{analyze_recorded, AnalysisConfig};
+use pta_core::points_to_set::{Def, PtSet};
 use pta_core::Fidelity;
+use pta_core::LocId;
 use pta_lint::{lint_ir, LintOptions};
+use pta_prop::{check, Rng};
+use pta_store::format::{dec_ptset, dec_ptset_canonical, dec_ptset_general, enc_ptset};
 use pta_store::{
     analyze_incremental, canonical_facts, parse, perturb_source, serialize, verify, ColdReason,
     Snapshot, StoreError, WarmMode,
 };
+use std::path::Path;
 
 fn lint_of(
     ir: &pta_simple::IrProgram,
@@ -189,4 +194,159 @@ fn reload_supports_queries_without_reanalysis() {
     assert_eq!(result.per_stmt, fresh.result.per_stmt);
     assert_eq!(result.exit_set, fresh.result.exit_set);
     assert_eq!(snap.diagnostics(), lint_of(&ir, &fresh.result));
+}
+
+/// The first line where two snapshot texts differ, for a readable
+/// failure instead of two full dumps.
+fn first_difference(got: &str, want: &str) -> String {
+    let mut want_lines = want.lines();
+    for (i, g) in got.lines().enumerate() {
+        match want_lines.next() {
+            Some(w) if w == g => {}
+            w => return format!("line {}: got `{g}`, want `{}`", i + 1, w.unwrap_or("<end>")),
+        }
+    }
+    format!("got ends at line {}", got.lines().count())
+}
+
+/// `tests/programs/store/<benchmark>.ptas` are snapshots of suite
+/// programs under the default configuration, written by an earlier
+/// encoder and never regenerated while `SCHEMA_VERSION` stays put. The
+/// encoder must reproduce them byte for byte and the codec must be a
+/// fixed point on them, so every snapshot already on disk keeps loading
+/// and keeps its bytes when saved back. If only the first check fails,
+/// the analysis answers changed rather than the format.
+#[test]
+fn golden_snapshots_pin_the_text_format() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/programs/store");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).expect("golden snapshot directory") {
+        let path = entry.unwrap().path();
+        if path.extension().and_then(|e| e.to_str()) != Some("ptas") {
+            continue;
+        }
+        let name = path.file_stem().unwrap().to_str().unwrap();
+        let golden = std::fs::read_to_string(&path).unwrap();
+        let b = pta_benchsuite::benchmark(name).expect("golden named after a benchmark");
+        let (_, snap) = cold_snapshot(b.source);
+        let text = serialize(&snap);
+        assert!(
+            text == golden,
+            "{name}: encoder output differs from the golden: {}",
+            first_difference(&text, &golden)
+        );
+        let again = serialize(&parse(&golden).expect("golden parses"));
+        assert!(
+            again == golden,
+            "{name}: codec is not a fixed point on the golden: {}",
+            first_difference(&again, &golden)
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "no golden snapshots in {}", dir.display());
+}
+
+fn arb_def(g: &mut Rng) -> Def {
+    if g.ratio(1, 2) {
+        Def::D
+    } else {
+        Def::P
+    }
+}
+
+/// A set sized around the inline/spill boundary (6/7 triples) or well
+/// past it, with small ids, ids near the top of their fields, or both.
+fn arb_set(g: &mut Rng) -> PtSet {
+    let n = *g.pick(&[0usize, 1, 5, 6, 7, 8, 40]);
+    let mut s = PtSet::new();
+    while s.len() < n {
+        let (src, tgt) = match g.usize(0..3) {
+            0 => (g.u32(0..8), g.u32(0..8)),
+            1 => (u32::MAX - g.u32(0..4), (1 << 31) - 1 - g.u32(0..4)),
+            _ => (g.u32(0..u32::MAX), g.u32(0..1 << 31)),
+        };
+        s.insert(LocId(src), LocId(tgt), arb_def(g));
+    }
+    s
+}
+
+fn triple_text((a, b, d): (LocId, LocId, Def)) -> String {
+    format!("{},{},{d}", a.0, b.0)
+}
+
+/// Non-canonical spellings of a non-empty set's triples, each named.
+/// None of them may take the fast path.
+fn non_canonical(g: &mut Rng, s: &PtSet) -> Vec<(&'static str, String)> {
+    let triples: Vec<_> = s.iter().collect();
+    let texts: Vec<String> = triples.iter().map(|&t| triple_text(t)).collect();
+    let mut out = Vec::new();
+    if texts.len() > 1 {
+        let mut rev = texts.clone();
+        rev.reverse();
+        out.push(("unsorted", rev.join(";")));
+    }
+    let i = g.usize(0..texts.len());
+    let (a, b, d) = triples[i];
+    let flipped = if d == Def::D { Def::P } else { Def::D };
+    let mut dup = texts.clone();
+    dup.insert(i + 1, triple_text((a, b, flipped)));
+    out.push(("duplicate pair", dup.join(";")));
+    let mut dup = texts.clone();
+    dup.insert(i + 1, texts[i].clone());
+    out.push(("repeated triple", dup.join(";")));
+    let joined = texts.join(";");
+    out.push(("plus sign", format!("+{joined}")));
+    out.push(("leading zero", format!("0{joined}")));
+    out.push(("leading zero in target", joined.replacen(',', ",0", 1)));
+    out.push(("trailing separator", format!("{joined};")));
+    out.push(("leading separator", format!(";{joined}")));
+    out.push(("empty segment", joined.replacen(';', ";;", 1) + ";;"));
+    out.push(("u32 overflow", format!("{joined};4294967296,0,P")));
+    out.push(("missing definiteness", format!("{joined};1,2")));
+    out.push(("extra field", format!("{joined},D")));
+    out
+}
+
+/// The canonical scanner and the general decoder agree on every token:
+/// canonical encodings of random sets take the fast path and decode to
+/// the set; non-canonical spellings are declined by the scanner, so
+/// `dec_ptset` gives exactly the general decoder's `Ok` set or `Err`.
+#[test]
+fn canonical_ptset_decoding_agrees_with_the_general_decoder() {
+    check("ptset fast path ≡ general decoder", 512, |g| {
+        let s = arb_set(g);
+        let tok = enc_ptset(&s);
+        assert_eq!(dec_ptset(&tok), Ok(s.clone()), "{tok}");
+        assert_eq!(dec_ptset_general(&tok), Ok(s.clone()), "{tok}");
+        if s.is_empty() {
+            return;
+        }
+        assert_eq!(dec_ptset_canonical(&tok), Some(s.clone()), "{tok}");
+        for (what, tok) in non_canonical(g, &s) {
+            assert_eq!(dec_ptset_canonical(&tok), None, "{what}: {tok}");
+            assert_eq!(dec_ptset(&tok), dec_ptset_general(&tok), "{what}: {tok}");
+        }
+        // A target past the packed field is declined too; the general
+        // decoder alone decides it (it cannot pack the pair, so only the
+        // scanner's refusal is checked here).
+        let big = format!("{tok};{},{},P", u32::MAX, 1u64 << 31);
+        assert_eq!(dec_ptset_canonical(&big), None, "{big}");
+    });
+}
+
+/// Random tokens over the set alphabet: whatever the scanner accepts,
+/// the general decoder accepts with the same set.
+#[test]
+fn ptset_token_soup_decodes_like_the_general_decoder() {
+    check("ptset soup", 2048, |g| {
+        let n = g.usize(1..24);
+        let tok: String = (0..n)
+            .map(|_| *g.pick(&['0', '1', '7', '9', ',', ',', ';', 'D', 'P', '+', 'x']))
+            .collect();
+        let general = dec_ptset_general(&tok);
+        if let Some(s) = dec_ptset_canonical(&tok) {
+            assert_eq!(general, Ok(s), "{tok}");
+        }
+        assert_eq!(dec_ptset(&tok), general, "{tok}");
+    });
 }
