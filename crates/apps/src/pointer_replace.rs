@@ -91,7 +91,7 @@ fn replacement_for(
             pta_simple::IrProj::Index(pta_simple::IdxClass::Zero) => pta_core::Proj::Head,
             pta_simple::IrProj::Index(_) => return None,
         };
-        tgt = result.locs.project(tgt, proj, ir)?;
+        tgt = result.locs.project(tgt, &proj, ir)?;
     }
     let func_name = ir.function(occ.func).name.clone();
     let f = ir.function(occ.func);

@@ -2,6 +2,7 @@
 //! [`analyze`] entry point.
 
 use crate::budget::{Budget, BudgetKind, Exhausted, TripPoint};
+use crate::dense::FxHashMap;
 use crate::invocation_graph::{IgFragment, IgNodeId, InvocationGraph};
 use crate::location::{LocId, LocationTable, Proj};
 use crate::lvalue::RefEnv;
@@ -13,6 +14,7 @@ use pta_simple::{CallSiteId, IrProgram, StmtId};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -625,6 +627,8 @@ fn analyze_impl<'p>(
         prune_masks: BTreeMap::new(),
         prune,
         summary,
+        leaf_cache: FxHashMap::default(),
+        global_leaves: Vec::new(),
     };
     a.tracer.emit(|| TraceEvent::AnalysisStart {
         functions: ir.defined_functions().count(),
@@ -647,14 +651,15 @@ fn analyze_impl<'p>(
 
     // Initial set for main: every global and local pointer leaf starts
     // at NULL (§6: "we initialize all pointers to NULL").
-    let mut init = PtSet::new();
-    let null = a.locs.null();
+    let mut global_leaves = Vec::new();
     for gi in 0..ir.globals.len() {
         let g = a.locs.global(ir, pta_cfront::ast::GlobalId(gi as u32));
-        for leaf in a.ptr_leaves(g) {
-            init.insert(leaf, null, Def::D);
-        }
+        global_leaves.extend_from_slice(&a.ptr_leaves(g));
     }
+    a.global_leaves = global_leaves;
+    let mut init = PtSet::new();
+    let null = a.locs.null();
+    init.weak_union(a.global_leaves.iter().map(|&leaf| (leaf, null, Def::D)));
     a.null_init_function_vars(entry, &mut init, true);
 
     let root = a.ig.root();
@@ -734,6 +739,12 @@ pub(crate) struct Analyzer<'p> {
     /// Summary-engine state ([`Engine::Summary`] runs only): the GPG
     /// table, the memoizable-function set, and instantiation counters.
     pub(crate) summary: Option<Box<crate::summary::SummaryCtx>>,
+    /// [`Analyzer::ptr_leaves`] of every location asked so far. Row
+    /// types do not change during a run, so neither do the leaves.
+    pub(crate) leaf_cache: FxHashMap<LocId, Rc<[LocId]>>,
+    /// The pointer leaves of every global, in global order: what the
+    /// map process passes through unchanged at every call.
+    pub(crate) global_leaves: Vec<LocId>,
 }
 
 impl<'p> Analyzer<'p> {
@@ -887,10 +898,16 @@ impl<'p> Analyzer<'p> {
     /// Enumerates the pointer-valued leaf locations reachable inside
     /// `loc` without dereferencing (the location itself if it is a
     /// pointer; struct fields and array head/tail elements recursively).
-    pub(crate) fn ptr_leaves(&mut self, loc: LocId) -> Vec<LocId> {
+    /// Walked once per location per run; later calls share the slice.
+    pub(crate) fn ptr_leaves(&mut self, loc: LocId) -> Rc<[LocId]> {
+        if let Some(leaves) = self.leaf_cache.get(&loc) {
+            return Rc::clone(leaves);
+        }
         let mut out = Vec::new();
         self.ptr_leaves_into(loc, &mut out, 0);
-        out
+        let leaves: Rc<[LocId]> = out.into();
+        self.leaf_cache.insert(loc, Rc::clone(&leaves));
+        leaves
     }
 
     fn ptr_leaves_into(&mut self, loc: LocId, out: &mut Vec<LocId>, depth: usize) {
@@ -898,41 +915,45 @@ impl<'p> Analyzer<'p> {
             return; // deeply nested aggregates: cut off defensively
         }
         let ir = self.ir;
-        let Some(ty) = self.locs.ty(loc).cloned() else {
-            // Untyped summaries (heap, strlit) act as their own leaf.
-            if self.locs.is_heap(loc) {
+        let sid = match self.locs.ty(loc) {
+            Some(Type::Pointer(_) | Type::Func(_)) => {
                 out.push(loc);
+                return;
             }
-            return;
-        };
-        match ty {
-            Type::Pointer(_) | Type::Func(_) => out.push(loc),
-            Type::Struct(sid) => {
-                let fields = ir.structs.def(sid).fields.clone();
-                for f in fields {
-                    if !f.ty.carries_pointers(&ir.structs) {
-                        continue;
-                    }
-                    if let Some(l) = self.locs.project(loc, Proj::Field(f.name.clone()), ir) {
-                        self.ptr_leaves_into(l, out, depth + 1);
-                    }
-                }
-            }
-            Type::Array(elem, _) if elem.carries_pointers(&ir.structs) => {
-                if let Some(h) = self.locs.project(loc, Proj::Head, ir) {
+            Some(Type::Struct(sid)) => *sid,
+            Some(Type::Array(elem, _)) if elem.carries_pointers(&ir.structs) => {
+                if let Some(h) = self.locs.project(loc, &Proj::Head, ir) {
                     self.ptr_leaves_into(h, out, depth + 1);
                 }
-                if let Some(t) = self.locs.project(loc, Proj::Tail, ir) {
+                if let Some(t) = self.locs.project(loc, &Proj::Tail, ir) {
                     self.ptr_leaves_into(t, out, depth + 1);
                 }
+                return;
             }
-            _ => {}
+            Some(_) => return,
+            None => {
+                // Untyped summaries (heap, strlit) act as their own leaf.
+                if self.locs.is_heap(loc) {
+                    out.push(loc);
+                }
+                return;
+            }
+        };
+        for f in &ir.structs.def(sid).fields {
+            if !f.ty.carries_pointers(&ir.structs) {
+                continue;
+            }
+            if let Some(l) = self.locs.project_field(loc, &f.name, ir) {
+                self.ptr_leaves_into(l, out, depth + 1);
+            }
         }
     }
 
     /// Adds `(leaf, null, D)` for every pointer leaf of every variable of
     /// `func`. When `include_params` is false, parameters are skipped
-    /// (they receive their values from the map process).
+    /// (they receive their values from the map process). Callers pass a
+    /// set with no `P` pair from these leaves, so the batch weak union
+    /// equals inserting the triples one by one.
     pub(crate) fn null_init_function_vars(
         &mut self,
         func: FuncId,
@@ -942,6 +963,7 @@ impl<'p> Analyzer<'p> {
         let ir = self.ir;
         let null = self.locs.null();
         let f = ir.function(func);
+        let mut triples = Vec::new();
         for (i, v) in f.vars.iter().enumerate() {
             if !include_params && i < f.n_params {
                 continue;
@@ -950,10 +972,13 @@ impl<'p> Analyzer<'p> {
                 continue;
             }
             let root = self.locs.var(ir, func, pta_simple::IrVarId(i as u32));
-            for leaf in self.ptr_leaves(root) {
-                set.insert(leaf, null, Def::D);
-            }
+            triples.extend(
+                self.ptr_leaves(root)
+                    .iter()
+                    .map(|&leaf| (leaf, null, Def::D)),
+            );
         }
+        set.weak_union(triples);
     }
 
     /// The static type of a variable reference, if derivable.

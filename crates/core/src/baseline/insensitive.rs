@@ -735,21 +735,20 @@ pub(crate) fn ptr_leaves(locs: &mut LocationTable, ir: &IrProgram, loc: LocId) -
         match ty {
             Type::Pointer(_) | Type::Func(_) => out.push(l),
             Type::Struct(sid) => {
-                let fields = ir.structs.def(sid).fields.clone();
-                for f in fields {
+                for f in &ir.structs.def(sid).fields {
                     if !f.ty.carries_pointers(&ir.structs) {
                         continue;
                     }
-                    if let Some(n) = locs.project(l, Proj::Field(f.name.clone()), ir) {
+                    if let Some(n) = locs.project_field(l, &f.name, ir) {
                         stack.push((n, depth + 1));
                     }
                 }
             }
             Type::Array(elem, _) if elem.carries_pointers(&ir.structs) => {
-                if let Some(h) = locs.project(l, Proj::Head, ir) {
+                if let Some(h) = locs.project(l, &Proj::Head, ir) {
                     stack.push((h, depth + 1));
                 }
-                if let Some(t) = locs.project(l, Proj::Tail, ir) {
+                if let Some(t) = locs.project(l, &Proj::Tail, ir) {
                     stack.push((t, depth + 1));
                 }
             }

@@ -2,11 +2,11 @@
 //!
 //! The hot paths of the analysis (interning, map/unmap translation,
 //! worklists) key everything by [`LocId`](crate::location::LocId), which
-//! is a dense index into the location table. These containers exploit
-//! that: [`LocMap`] is a flat `Vec<u32>` with a sentinel instead of a
-//! tree, [`LocSet`] is a bitset, and [`FxBuildHasher`] is the
-//! multiply-xor hash used by rustc (no SipHash overhead) for the few
-//! places that still hash structural keys.
+//! is a dense index into the location table. [`LocSet`] exploits that
+//! as a bitset, and [`FxBuildHasher`] is the multiply-xor hash used by
+//! rustc (no SipHash overhead) for interning keys and for the small
+//! per-call maps of map/unmap, which touch a handful of ids out of the
+//! whole table.
 
 use crate::location::LocId;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -84,55 +84,6 @@ pub fn fx_hash_one<T: std::hash::Hash>(value: &T) -> u64 {
     h.finish()
 }
 
-const NONE: u32 = u32::MAX;
-
-/// A dense `LocId → LocId` map: a flat vector indexed by the key's id,
-/// with `u32::MAX` as the "absent" sentinel. Grows on demand, so it is
-/// safe to insert ids interned after the map was created.
-#[derive(Debug, Clone, Default)]
-pub struct LocMap {
-    slots: Vec<u32>,
-}
-
-impl LocMap {
-    /// An empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty map pre-sized for ids below `capacity`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        LocMap {
-            slots: vec![NONE; capacity],
-        }
-    }
-
-    /// The value stored under `key`, if any.
-    #[inline]
-    pub fn get(&self, key: LocId) -> Option<LocId> {
-        match self.slots.get(key.0 as usize) {
-            Some(&v) if v != NONE => Some(LocId(v)),
-            _ => None,
-        }
-    }
-
-    /// True if `key` has a value.
-    #[inline]
-    pub fn contains_key(&self, key: LocId) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Inserts (or overwrites) `key → value`.
-    #[inline]
-    pub fn insert(&mut self, key: LocId, value: LocId) {
-        let i = key.0 as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, NONE);
-        }
-        self.slots[i] = value.0;
-    }
-}
-
 /// A dense set of `LocId`s stored as a bitset. Iteration is in
 /// ascending id order, so consumers that previously walked a
 /// `BTreeSet<LocId>` see the same sequence.
@@ -197,20 +148,6 @@ impl LocSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn locmap_insert_get_grow() {
-        let mut m = LocMap::with_capacity(2);
-        assert_eq!(m.get(LocId(0)), None);
-        m.insert(LocId(0), LocId(7));
-        m.insert(LocId(100), LocId(3)); // beyond initial capacity
-        assert_eq!(m.get(LocId(0)), Some(LocId(7)));
-        assert_eq!(m.get(LocId(100)), Some(LocId(3)));
-        assert_eq!(m.get(LocId(50)), None);
-        assert!(m.contains_key(LocId(100)));
-        m.insert(LocId(0), LocId(9)); // overwrite
-        assert_eq!(m.get(LocId(0)), Some(LocId(9)));
-    }
 
     #[test]
     fn locset_insert_iter_ascending() {

@@ -78,9 +78,9 @@ impl<'p> Analyzer<'p> {
                 return Ok(Some(input));
             }
         }
-        let mapping = self.map_process(caller, node, callee, args, &input)?;
+        let mut mapping = self.map_process(caller, node, callee, args, &input)?;
         self.ig.node_mut(child).map_info = mapping.sym_reps.clone();
-        let out = self.analyze_node(child, mapping.callee_input.clone())?;
+        let out = self.analyze_node(child, std::mem::take(&mut mapping.callee_input))?;
         match out {
             None => Ok(None), // ⊥: pending recursive input, or the callee never returns
             Some(callee_out) => {
@@ -368,11 +368,10 @@ impl<'p> Analyzer<'p> {
             return caller_out;
         }
         let ret_loc = self.locs.ret(ir, callee);
-        let mut leaves = self.ptr_leaves(ret_loc);
+        let leaves = self.ptr_leaves(ret_loc);
         if leaves.is_empty() {
             // Return type carries no pointers but the destination is a
             // pointer (cast abuse): clear the destination.
-            leaves.clear();
             let l = {
                 let mut env = self.renv(caller);
                 env.l_locations(&caller_out, lhs)
@@ -380,7 +379,8 @@ impl<'p> Analyzer<'p> {
             return self.assign(caller_out, &l, &[]);
         }
         let base_depth = self.locs.get(ret_loc).projs.len();
-        for leaf in leaves {
+        let mut tr = Vec::new();
+        for &leaf in leaves.iter() {
             let extra = self.locs.get(leaf).projs[base_depth..].to_vec();
             let mut lhs_leaf = lhs.clone();
             for p in &extra {
@@ -399,7 +399,8 @@ impl<'p> Analyzer<'p> {
             let ret_targets: Vec<(crate::location::LocId, Def)> =
                 callee_out.targets(leaf).collect();
             for (t, d) in ret_targets {
-                let tr = self.rtr(callee, t, sym_reps);
+                tr.clear();
+                self.rtr(callee, t, sym_reps, &mut tr);
                 if tr.is_empty() && self.is_callee_local(callee, t) {
                     self.warn(format!(
                         "address of a local of `{}` escapes through its return value (dangling pointer dropped)",
@@ -415,7 +416,7 @@ impl<'p> Analyzer<'p> {
                     });
                 }
                 let unique = tr.len() == 1;
-                for t2 in tr {
+                for &t2 in &tr {
                     let d2 = if d == Def::D && unique {
                         Def::D
                     } else {

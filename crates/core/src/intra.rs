@@ -9,6 +9,7 @@ use crate::points_to_set::{merge_flow, Def, Flow, PtSet};
 use crate::trace::TraceEvent;
 use pta_cfront::ast::FuncId;
 use pta_simple::{BasicStmt, IdxClass, Stmt, StmtId, VarRef};
+use std::borrow::Cow;
 
 /// The compositional flow result of a statement: the fall-through state
 /// plus the pending states of each non-structured exit.
@@ -456,20 +457,13 @@ impl<'p> Analyzer<'p> {
         let ir = self.ir;
         let ret_loc = self.locs.ret(ir, func);
         let leaves = self.ptr_leaves(ret_loc);
-        if leaves.is_empty() {
-            return input;
-        }
-        let ret_data = self.locs.get(ret_loc).clone();
+        let base_depth = self.locs.get(ret_loc).projs.len();
         let mut out = input;
-        for leaf in leaves {
+        for &leaf in leaves.iter() {
             // Project the operand by the same path as the leaf.
-            let leaf_projs = self.locs.get(leaf).projs[ret_data.projs.len()..].to_vec();
-            let r = {
-                let mut env = self.renv(func);
-                match project_operand(v, &leaf_projs) {
-                    Some(op) => env.operand_r_locations(&out, &op),
-                    None => Vec::new(),
-                }
+            let r = match project_operand(v, &self.locs.get(leaf).projs[base_depth..]) {
+                Some(op) => self.renv(func).operand_r_locations(&out, &op),
+                None => Vec::new(),
             };
             let l = vec![(leaf, Def::D)];
             out = self.assign(out, &l, &r);
@@ -522,16 +516,18 @@ impl<'p> Analyzer<'p> {
     }
 }
 
-/// Projects an operand by extra projections (for struct returns:
-/// `return s;` assigns `ret.f = s.f` for each leaf).
-fn project_operand(
-    op: &pta_simple::Operand,
+/// Projects an operand by extra projections (for struct values:
+/// `return s;` assigns `ret.f = s.f` for each leaf, and a struct
+/// actual passes `a.f` to the formal's leaf `p.f`). `None` if the
+/// operand is not a reference.
+pub(crate) fn project_operand<'o>(
+    op: &'o pta_simple::Operand,
     projs: &[crate::location::Proj],
-) -> Option<pta_simple::Operand> {
+) -> Option<Cow<'o, pta_simple::Operand>> {
     use crate::location::Proj;
     use pta_simple::{IrProj, Operand};
     if projs.is_empty() {
-        return Some(op.clone());
+        return Some(Cow::Borrowed(op));
     }
     let Operand::Ref(r) = op else { return None };
     let mut r = r.clone();
@@ -543,7 +539,7 @@ fn project_operand(
         };
         r = append_proj(r, ip);
     }
-    Some(Operand::Ref(r))
+    Some(Cow::Owned(Operand::Ref(r)))
 }
 
 pub(crate) fn append_proj(r: VarRef, p: pta_simple::IrProj) -> VarRef {

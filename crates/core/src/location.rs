@@ -14,6 +14,13 @@
 //! path), and each id carries a classification bitmask so predicates
 //! like [`LocationTable::is_summary`] are a single flag test instead of
 //! a match over the interned data.
+//!
+//! Every constructor looks a location up before it builds its type or
+//! name, and [`LocationTable::project`] answers repeated projections
+//! from a per-table cache, so re-reaching a known location allocates
+//! nothing. The caches only skip work whose outcome would have been a
+//! hit: the order in which locations are interned, and so every
+//! [`LocId`], is the same as without them.
 
 use crate::dense::{FxHashMap, FxHasher};
 use pta_cfront::ast::{FuncId, GlobalId};
@@ -147,6 +154,42 @@ pub struct LocationTable {
     index: FxHashMap<u64, Vec<LocId>>,
     symbolics: Vec<SymbolicData>,
     sym_index: FxHashMap<u64, Vec<u32>>,
+    /// Allocation-site heap locations, in intern order.
+    heap_sites: Vec<LocId>,
+    /// `(parent, projection slot)` → child for every projection that
+    /// has succeeded; slot 0 is the head, 1 the tail, 2 + i the i-th
+    /// struct field. Derived state: never persisted, and cleared when
+    /// row types change.
+    proj_cache: FxHashMap<u64, LocId>,
+}
+
+/// One projection step with a borrowed field name.
+#[derive(Clone, Copy)]
+enum Step<'a> {
+    Field(&'a str),
+    Head,
+    Tail,
+}
+
+impl<'a> From<&'a Proj> for Step<'a> {
+    fn from(p: &'a Proj) -> Self {
+        match p {
+            Proj::Field(f) => Step::Field(f),
+            Proj::Head => Step::Head,
+            Proj::Tail => Step::Tail,
+        }
+    }
+}
+
+/// What a projection resolves to without interning anything.
+enum Probe {
+    /// The child location (cached, or the summary itself).
+    Hit(LocId),
+    /// The projection does not type-check (or the base is null/code).
+    Fails,
+    /// A valid projection not yet cached: its cache key and the
+    /// child's type.
+    Miss { key: u64, ty: Type },
 }
 
 /// Former name of [`LocationTable`], kept for downstream code.
@@ -195,15 +238,23 @@ impl LocationTable {
         ty: Option<Type>,
         name: String,
     ) -> LocId {
-        if let Some(id) = self.lookup(&base, &projs) {
-            return id;
+        match self.lookup(&base, &projs) {
+            Some(id) => id,
+            None => self.push(base, projs, ty, name),
         }
+    }
+
+    /// Appends a row known to be absent.
+    fn push(&mut self, base: LocBase, projs: Vec<Proj>, ty: Option<Type>, name: String) -> LocId {
         let id = LocId(self.data.len() as u32);
         self.index
             .entry(key_hash(&base, &projs))
             .or_default()
             .push(id);
         self.flags.push(classify(&base, &projs));
+        if matches!(base, LocBase::HeapSite(_)) {
+            self.heap_sites.push(id);
+        }
         self.data.push(LocData {
             base,
             projs,
@@ -213,101 +264,175 @@ impl LocationTable {
         id
     }
 
+    /// Interns a root location, building its type and name only when it
+    /// is new.
+    fn root(&mut self, base: LocBase, make: impl FnOnce() -> (Option<Type>, String)) -> LocId {
+        if let Some(id) = self.lookup(&base, &[]) {
+            return id;
+        }
+        let (ty, name) = make();
+        self.push(base, Vec::new(), ty, name)
+    }
+
     /// The `heap` location.
     pub fn heap(&mut self) -> LocId {
-        self.intern(LocBase::Heap, vec![], None, "heap".to_owned())
+        self.root(LocBase::Heap, || (None, "heap".to_owned()))
     }
 
     /// An allocation-site heap location (extension).
     pub fn heap_site(&mut self, site: u32) -> LocId {
-        self.intern(
-            LocBase::HeapSite(site),
-            vec![],
-            None,
-            format!("heap@s{site}"),
-        )
+        self.root(LocBase::HeapSite(site), || (None, format!("heap@s{site}")))
+    }
+
+    /// Every allocation-site heap location, in intern (= id) order.
+    pub(crate) fn heap_sites(&self) -> &[LocId] {
+        &self.heap_sites
     }
 
     /// The `null` pseudo-location.
     pub fn null(&mut self) -> LocId {
-        self.intern(LocBase::Null, vec![], None, "null".to_owned())
+        self.root(LocBase::Null, || (None, "null".to_owned()))
     }
 
     /// The string-literal storage location.
     pub fn strlit(&mut self) -> LocId {
-        self.intern(LocBase::StrLit, vec![], None, "strlit".to_owned())
+        self.root(LocBase::StrLit, || (None, "strlit".to_owned()))
     }
 
     /// The code location of function `f`.
     pub fn function(&mut self, ir: &IrProgram, f: FuncId) -> LocId {
-        let name = ir.function(f).name.clone();
-        self.intern(LocBase::Function(f), vec![], None, name)
+        self.root(LocBase::Function(f), || (None, ir.function(f).name.clone()))
     }
 
     /// The return-value slot of function `f`.
     pub fn ret(&mut self, ir: &IrProgram, f: FuncId) -> LocId {
-        let func = ir.function(f);
-        self.intern(
-            LocBase::Ret(f),
-            vec![],
-            Some(func.ret.clone()),
-            format!("ret@{}", func.name),
-        )
+        self.root(LocBase::Ret(f), || {
+            let func = ir.function(f);
+            (Some(func.ret.clone()), format!("ret@{}", func.name))
+        })
     }
 
     /// The location of a variable root.
     pub fn var(&mut self, ir: &IrProgram, func: FuncId, v: IrVarId) -> LocId {
-        let data = ir.function(func).var(v);
-        self.intern(
-            LocBase::Var(func, v),
-            vec![],
-            Some(data.ty.clone()),
-            data.name.clone(),
-        )
+        self.root(LocBase::Var(func, v), || {
+            let data = ir.function(func).var(v);
+            (Some(data.ty.clone()), data.name.clone())
+        })
     }
 
     /// The location of a global root.
     pub fn global(&mut self, ir: &IrProgram, g: GlobalId) -> LocId {
-        let data = ir.global(g);
-        self.intern(
-            LocBase::Global(g),
-            vec![],
-            Some(data.ty.clone()),
-            data.name.clone(),
-        )
+        self.root(LocBase::Global(g), || {
+            let data = ir.global(g);
+            (Some(data.ty.clone()), data.name.clone())
+        })
     }
 
     /// Projects a location by one step, computing the resulting type and
     /// name. Projections on `heap`/`strlit` collapse back to the summary
     /// location itself; projections on `null` or functions return `None`.
-    pub fn project(&mut self, id: LocId, proj: Proj, ir: &IrProgram) -> Option<LocId> {
-        let d = self.get(id).clone();
+    /// A projection that succeeded before is answered from the
+    /// projection cache without allocating.
+    pub fn project(&mut self, id: LocId, proj: &Proj, ir: &IrProgram) -> Option<LocId> {
+        self.project_step(id, proj.into(), ir)
+    }
+
+    /// [`LocationTable::project`] by a struct field given by name.
+    pub(crate) fn project_field(
+        &mut self,
+        id: LocId,
+        field: &str,
+        ir: &IrProgram,
+    ) -> Option<LocId> {
+        self.project_step(id, Step::Field(field), ir)
+    }
+
+    /// Applies the projections of `path_of` from index `from` on, one
+    /// [`LocationTable::project`] at a time, starting at `cur`. On a step
+    /// that fails, `Err` carries the last location reached.
+    pub(crate) fn project_path(
+        &mut self,
+        mut cur: LocId,
+        path_of: LocId,
+        from: usize,
+        ir: &IrProgram,
+    ) -> Result<LocId, LocId> {
+        for i in from..self.data[path_of.0 as usize].projs.len() {
+            let step = Step::from(&self.data[path_of.0 as usize].projs[i]);
+            cur = match self.probe(cur, step, ir) {
+                Probe::Hit(n) => n,
+                Probe::Fails => return Err(cur),
+                Probe::Miss { key, ty } => {
+                    let p = self.data[path_of.0 as usize].projs[i].clone();
+                    self.project_new(cur, (&p).into(), key, ty)
+                }
+            };
+        }
+        Ok(cur)
+    }
+
+    fn project_step(&mut self, id: LocId, step: Step<'_>, ir: &IrProgram) -> Option<LocId> {
+        match self.probe(id, step, ir) {
+            Probe::Hit(n) => Some(n),
+            Probe::Fails => None,
+            Probe::Miss { key, ty } => Some(self.project_new(id, step, key, ty)),
+        }
+    }
+
+    /// Resolves a projection as far as possible without interning.
+    fn probe(&self, id: LocId, step: Step<'_>, ir: &IrProgram) -> Probe {
+        let d = &self.data[id.0 as usize];
         match d.base {
-            LocBase::Heap | LocBase::HeapSite(_) | LocBase::StrLit => return Some(id),
-            LocBase::Null | LocBase::Function(_) => return None,
+            LocBase::Heap | LocBase::HeapSite(_) | LocBase::StrLit => return Probe::Hit(id),
+            LocBase::Null | LocBase::Function(_) => return Probe::Fails,
             _ => {}
         }
-        let ty = d.ty.as_ref()?;
-        let (new_ty, suffix) = match &proj {
-            Proj::Field(f) => {
-                let Type::Struct(sid) = ty else { return None };
-                let def = ir.structs.def(*sid);
-                let field = def.field(f)?;
-                (field.ty.clone(), format!(".{f}"))
+        let Some(ty) = &d.ty else {
+            return Probe::Fails;
+        };
+        let (slot, child_ty) = match step {
+            Step::Head | Step::Tail => {
+                let Some(elem) = ty.elem() else {
+                    return Probe::Fails;
+                };
+                (matches!(step, Step::Tail) as u64, elem)
             }
-            Proj::Head => {
-                let elem = ty.elem()?;
-                (elem.clone(), "[0]".to_owned())
+            Step::Field(f) => {
+                let Type::Struct(sid) = ty else {
+                    return Probe::Fails;
+                };
+                let fields = &ir.structs.def(*sid).fields;
+                let Some(i) = fields.iter().position(|x| x.name == f) else {
+                    return Probe::Fails;
+                };
+                (i as u64 + 2, &fields[i].ty)
             }
-            Proj::Tail => {
-                let elem = ty.elem()?;
-                (elem.clone(), "[1..]".to_owned())
-            }
+        };
+        let key = ((id.0 as u64) << 32) | slot;
+        match self.proj_cache.get(&key) {
+            Some(&child) => Probe::Hit(child),
+            None => Probe::Miss {
+                key,
+                ty: child_ty.clone(),
+            },
+        }
+    }
+
+    /// Interns (or finds) the child of a projection that [`Self::probe`]
+    /// validated but found uncached, and caches it under `key`.
+    fn project_new(&mut self, id: LocId, step: Step<'_>, key: u64, ty: Type) -> LocId {
+        let d = &self.data[id.0 as usize];
+        let (proj, name) = match step {
+            Step::Field(f) => (Proj::Field(f.to_owned()), format!("{}.{f}", d.name)),
+            Step::Head => (Proj::Head, format!("{}[0]", d.name)),
+            Step::Tail => (Proj::Tail, format!("{}[1..]", d.name)),
         };
         let mut projs = d.projs.clone();
         projs.push(proj);
-        let name = format!("{}{}", d.name, suffix);
-        Some(self.intern(d.base, projs, Some(new_ty), name))
+        let base = d.base.clone();
+        let child = self.intern(base, projs, Some(ty), name);
+        self.proj_cache.insert(key, child);
+        child
     }
 
     /// Creates (or returns) a symbolic name owned by `func`.
@@ -333,12 +458,7 @@ impl LocationTable {
                 i
             }
         };
-        self.intern(
-            LocBase::Symbolic(func, sym_idx),
-            vec![],
-            ty,
-            name.to_owned(),
-        )
+        self.root(LocBase::Symbolic(func, sym_idx), || (ty, name.to_owned()))
     }
 
     /// Metadata of a symbolic location's base (if it is one).
@@ -453,6 +573,8 @@ impl LocationTable {
     /// are skeleton-fixed, `Ret` types are signature-fixed, and symbolic
     /// types derive from signatures and globals.
     pub fn refresh_for(&mut self, ir: &IrProgram, funcs: &std::collections::BTreeSet<FuncId>) {
+        // Cached projections were validated against the old types.
+        self.proj_cache.clear();
         for i in 0..self.data.len() {
             let LocBase::Var(f, v) = self.data[i].base else {
                 continue;
@@ -538,12 +660,12 @@ mod tests {
         let ir = tiny_ir();
         let mut t = LocationTable::new();
         let gs = t.global(&ir, pta_cfront::ast::GlobalId(0));
-        let p = t.project(gs, Proj::Field("p".into()), &ir).unwrap();
+        let p = t.project(gs, &Proj::Field("p".into()), &ir).unwrap();
         assert_eq!(t.name(p), "gs.p");
         assert_eq!(t.ty(p), Some(&pta_cfront::types::Type::Int.ptr_to()));
-        let a = t.project(gs, Proj::Field("a".into()), &ir).unwrap();
-        let head = t.project(a, Proj::Head, &ir).unwrap();
-        let tail = t.project(a, Proj::Tail, &ir).unwrap();
+        let a = t.project(gs, &Proj::Field("a".into()), &ir).unwrap();
+        let head = t.project(a, &Proj::Head, &ir).unwrap();
+        let tail = t.project(a, &Proj::Tail, &ir).unwrap();
         assert_eq!(t.name(head), "gs.a[0]");
         assert_eq!(t.name(tail), "gs.a[1..]");
         assert!(!t.is_summary(head));
@@ -555,10 +677,10 @@ mod tests {
         let ir = tiny_ir();
         let mut t = LocationTable::new();
         let gs = t.global(&ir, pta_cfront::ast::GlobalId(0));
-        assert!(t.project(gs, Proj::Field("zzz".into()), &ir).is_none());
-        assert!(t.project(gs, Proj::Head, &ir).is_none());
+        assert!(t.project(gs, &Proj::Field("zzz".into()), &ir).is_none());
+        assert!(t.project(gs, &Proj::Head, &ir).is_none());
         let null = t.null();
-        assert!(t.project(null, Proj::Head, &ir).is_none());
+        assert!(t.project(null, &Proj::Head, &ir).is_none());
     }
 
     #[test]
@@ -566,8 +688,8 @@ mod tests {
         let ir = tiny_ir();
         let mut t = LocationTable::new();
         let h = t.heap();
-        assert_eq!(t.project(h, Proj::Field("p".into()), &ir), Some(h));
-        assert_eq!(t.project(h, Proj::Tail, &ir), Some(h));
+        assert_eq!(t.project(h, &Proj::Field("p".into()), &ir), Some(h));
+        assert_eq!(t.project(h, &Proj::Tail, &ir), Some(h));
         assert!(t.is_summary(h));
     }
 
@@ -584,6 +706,192 @@ mod tests {
         assert_ne!(s1, s3);
         assert_eq!(t.symbolic_data(s1).unwrap().depth, 1);
         assert!(t.is_symbolic(s1));
+    }
+
+    /// The projection algorithm without caches: clone the parent's row,
+    /// derive the child's type and name, intern.
+    fn reference_project(
+        t: &mut LocationTable,
+        id: LocId,
+        proj: Proj,
+        ir: &IrProgram,
+    ) -> Option<LocId> {
+        let d = t.get(id).clone();
+        match d.base {
+            LocBase::Heap | LocBase::HeapSite(_) | LocBase::StrLit => return Some(id),
+            LocBase::Null | LocBase::Function(_) => return None,
+            _ => {}
+        }
+        let ty = d.ty.as_ref()?;
+        let (new_ty, suffix) = match &proj {
+            Proj::Field(f) => {
+                let Type::Struct(sid) = ty else { return None };
+                (ir.structs.def(*sid).field(f)?.ty.clone(), format!(".{f}"))
+            }
+            Proj::Head => (ty.elem()?.clone(), "[0]".to_owned()),
+            Proj::Tail => (ty.elem()?.clone(), "[1..]".to_owned()),
+        };
+        let mut projs = d.projs;
+        projs.push(proj);
+        let name = format!("{}{suffix}", d.name);
+        Some(t.intern(d.base, projs, Some(new_ty), name))
+    }
+
+    #[test]
+    fn cached_projection_returns_the_uncached_id() {
+        let ir = tiny_ir();
+        let field = Proj::Field("p".into());
+        let mut t = LocationTable::new();
+        let gs = t.global(&ir, pta_cfront::ast::GlobalId(0));
+        let first = t.project(gs, &field, &ir);
+        assert_eq!(t.project(gs, &field, &ir), first, "cache hit");
+        assert_eq!(t.project_field(gs, "p", &ir), first);
+        // The uncached algorithm on a fresh table lands on the same id,
+        // and a row interned without the cache is found, not duplicated.
+        let mut u = LocationTable::new();
+        let gs2 = u.global(&ir, pta_cfront::ast::GlobalId(0));
+        let direct = reference_project(&mut u, gs2, field.clone(), &ir);
+        assert_eq!(direct, first);
+        let len = u.len();
+        assert_eq!(u.project(gs2, &field, &ir), direct);
+        assert_eq!(u.len(), len);
+    }
+
+    #[test]
+    fn refresh_for_invalidates_cached_projections() {
+        // Field `p` of `struct a` and field `q` of `struct b` share
+        // projection slot 0 of their structs.
+        let header = "struct a { int *p; }; struct b { int *q; int *r; };";
+        let old = pta_simple::compile(&format!(
+            "{header} int main(void) {{ struct a v; v.p = 0; return 0; }}"
+        ))
+        .expect("compile ok");
+        let new = pta_simple::compile(&format!(
+            "{header} int main(void) {{ struct b v; v.q = 0; return 0; }}"
+        ))
+        .expect("compile ok");
+        let (main, f) = old.function_by_name("main").unwrap();
+        let v = IrVarId(f.vars.iter().position(|x| x.name == "v").unwrap() as u32);
+        let mut t = LocationTable::new();
+        let lv = t.var(&old, main, v);
+        let vp = t
+            .project_field(lv, "p", &old)
+            .expect("v.p under the old type");
+        assert_eq!(t.project_field(lv, "q", &old), None);
+        t.refresh_for(&new, &[main].into_iter().collect());
+        let vq = t
+            .project_field(lv, "q", &new)
+            .expect("v.q under the new type");
+        assert_ne!(vq, vp, "the stale `v.p` child is not served for `q`");
+        assert_eq!(t.name(vq), "v.q");
+        assert_eq!(t.project_field(lv, "p", &new), None);
+    }
+
+    #[test]
+    fn prop_caches_leave_interning_order_unchanged() {
+        // Drive a cached table and an uncached reference through the
+        // same random walk of roots and projections: every step returns
+        // the same id, and the rows come out in the same order.
+        let ir = pta_simple::compile(
+            "struct in { int *ip; int ia[4]; };
+             struct out { struct in i; int *op; struct in arr[3]; };
+             struct out go; int *garr[8];
+             int main(void) { struct out lo; int *lp; lp = 0; return 0; }",
+        )
+        .expect("compile ok");
+        let (main, f) = ir.function_by_name("main").unwrap();
+        let n_vars = f.vars.len() as u32;
+        let fields = ["i", "ip", "ia", "op", "arr", "zz"];
+        pta_prop::check("cached interning ≡ uncached", 128, |g| {
+            let mut cached = LocationTable::new();
+            let mut plain = LocationTable::new();
+            let mut known = Vec::new();
+            for _ in 0..g.usize(1..80) {
+                let step = g.usize(0..6);
+                let (a, b) = match step {
+                    0 => {
+                        let gid = pta_cfront::ast::GlobalId(g.u32(0..2));
+                        (
+                            cached.global(&ir, gid),
+                            Some(plain_root(&mut plain, &ir, Root::Global(gid))),
+                        )
+                    }
+                    1 => {
+                        let v = IrVarId(g.u32(0..n_vars));
+                        (
+                            cached.var(&ir, main, v),
+                            Some(plain_root(&mut plain, &ir, Root::Var(main, v))),
+                        )
+                    }
+                    2 => {
+                        let site = g.u32(0..3);
+                        (
+                            cached.heap_site(site),
+                            Some(plain_root(&mut plain, &ir, Root::Site(site))),
+                        )
+                    }
+                    _ if known.is_empty() => continue,
+                    _ => {
+                        let &from = g.pick(&known);
+                        let proj = match g.usize(0..3) {
+                            0 => Proj::Field((*g.pick(&fields)).to_owned()),
+                            1 => Proj::Head,
+                            _ => Proj::Tail,
+                        };
+                        let a = cached.project(from, &proj, &ir);
+                        let b = reference_project(&mut plain, from, proj, &ir);
+                        match (a, b) {
+                            (Some(a), b) => (a, b),
+                            (None, None) => continue,
+                            (None, b) => panic!("cached projection failed, reference gave {b:?}"),
+                        }
+                    }
+                };
+                assert_eq!(Some(a), b);
+                known.push(a);
+            }
+            assert_eq!(cached.len(), plain.len());
+            for id in cached.ids() {
+                assert_eq!(cached.get(id), plain.get(id), "row {id}");
+            }
+            let sites: Vec<LocId> = plain
+                .ids()
+                .filter(|&l| matches!(plain.get(l).base, LocBase::HeapSite(_)))
+                .collect();
+            assert_eq!(cached.heap_sites(), &sites[..]);
+        });
+    }
+
+    enum Root {
+        Global(GlobalId),
+        Var(FuncId, IrVarId),
+        Site(u32),
+    }
+
+    /// Interns a root the way the constructors did before they looked
+    /// up first: build the type and name, then intern.
+    fn plain_root(t: &mut LocationTable, ir: &IrProgram, root: Root) -> LocId {
+        match root {
+            Root::Global(g) => {
+                let d = ir.global(g);
+                t.intern(
+                    LocBase::Global(g),
+                    vec![],
+                    Some(d.ty.clone()),
+                    d.name.clone(),
+                )
+            }
+            Root::Var(f, v) => {
+                let d = ir.function(f).var(v);
+                t.intern(
+                    LocBase::Var(f, v),
+                    vec![],
+                    Some(d.ty.clone()),
+                    d.name.clone(),
+                )
+            }
+            Root::Site(s) => t.intern(LocBase::HeapSite(s), vec![], None, format!("heap@s{s}")),
+        }
     }
 
     #[test]

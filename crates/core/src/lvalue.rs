@@ -45,25 +45,25 @@ impl RefEnv<'_> {
         for (l, d) in cur {
             match proj {
                 IrProj::Field(f) => {
-                    if let Some(n) = self.locs.project(*l, Proj::Field(f.clone()), self.ir) {
+                    if let Some(n) = self.locs.project_field(*l, f, self.ir) {
                         push_unique(&mut out, n, *d);
                     }
                 }
                 IrProj::Index(IdxClass::Zero) => {
-                    if let Some(n) = self.locs.project(*l, Proj::Head, self.ir) {
+                    if let Some(n) = self.locs.project(*l, &Proj::Head, self.ir) {
                         push_unique(&mut out, n, *d);
                     }
                 }
                 IrProj::Index(IdxClass::Positive) => {
-                    if let Some(n) = self.locs.project(*l, Proj::Tail, self.ir) {
+                    if let Some(n) = self.locs.project(*l, &Proj::Tail, self.ir) {
                         push_unique(&mut out, n, *d);
                     }
                 }
                 IrProj::Index(IdxClass::Unknown) => {
-                    if let Some(n) = self.locs.project(*l, Proj::Head, self.ir) {
+                    if let Some(n) = self.locs.project(*l, &Proj::Head, self.ir) {
                         push_unique(&mut out, n, Def::P);
                     }
-                    if let Some(n) = self.locs.project(*l, Proj::Tail, self.ir) {
+                    if let Some(n) = self.locs.project(*l, &Proj::Tail, self.ir) {
                         push_unique(&mut out, n, Def::P);
                     }
                 }
@@ -96,29 +96,22 @@ impl RefEnv<'_> {
     /// `head → tail` on the last array projection; other shapes stay
     /// put (pointer arithmetic within the pointed-to object).
     fn tailify(&mut self, t: LocId) -> LocId {
-        let d = self.locs.get(t).clone();
+        let d = self.locs.get(t);
         if matches!(
             d.base,
             LocBase::Heap | LocBase::HeapSite(_) | LocBase::StrLit
         ) {
             return t;
         }
-        match d.projs.last() {
-            Some(Proj::Head) => {
-                let mut projs = d.projs.clone();
-                projs.pop();
-                // Re-intern the parent, then take its tail.
-                let parent_name = d.name.strip_suffix("[0]").unwrap_or(&d.name).to_owned();
-                let parent = self.locs.intern(
-                    d.base.clone(),
-                    projs,
-                    None, // parent type unused: project recomputes via stored data
-                    parent_name,
-                );
-                self.locs.project(parent, Proj::Tail, self.ir).unwrap_or(t)
-            }
-            _ => t,
-        }
+        let Some((Proj::Head, parent_projs)) = d.projs.split_last() else {
+            return t;
+        };
+        // A child is only ever interned after its parent, so the parent
+        // of `x[0]` is always found; staying put is the safe fallback.
+        let Some(parent) = self.locs.lookup(&d.base, parent_projs) else {
+            return t;
+        };
+        self.locs.project(parent, &Proj::Tail, self.ir).unwrap_or(t)
     }
 
     /// The L-location set of a variable reference (Table 1, middle
@@ -399,8 +392,8 @@ mod tests {
             locs: &mut fx.locs,
         };
         let ga = env.locs.global(&fx.ir, pta_cfront::ast::GlobalId(0));
-        let head = env.locs.project(ga, Proj::Head, &fx.ir).unwrap();
-        let tail = env.locs.project(ga, Proj::Tail, &fx.ir).unwrap();
+        let head = env.locs.project(ga, &Proj::Head, &fx.ir).unwrap();
+        let tail = env.locs.project(ga, &Proj::Tail, &fx.ir).unwrap();
         assert_eq!(env.shift_loc(head, IdxClass::Zero), vec![(head, Def::D)]);
         assert_eq!(
             env.shift_loc(head, IdxClass::Positive),
@@ -416,6 +409,40 @@ mod tests {
         // Shifting null drops it.
         let null = env.locs.null();
         assert!(env.shift_loc(null, IdxClass::Positive).is_empty());
+    }
+
+    #[test]
+    fn tailify_looks_the_parent_up_and_never_interns() {
+        let mut fx = fixture("int *a[10]; int main(void){ return 0; }");
+        let ir = &fx.ir;
+        let ga = fx.locs.global(ir, pta_cfront::ast::GlobalId(0));
+        let head = fx.locs.project(ga, &Proj::Head, ir).unwrap();
+        let tail = fx.locs.project(ga, &Proj::Tail, ir).unwrap();
+        // An `x[0]` row whose parent was never interned (only a damaged
+        // table could hold one): shifting it stays put.
+        let orphan = fx.locs.intern(
+            LocBase::Global(pta_cfront::ast::GlobalId(7)),
+            vec![Proj::Head],
+            None,
+            "b[0]".to_owned(),
+        );
+        let before = fx.locs.len();
+        let mut env = RefEnv {
+            ir,
+            func: fx.main,
+            locs: &mut fx.locs,
+        };
+        assert_eq!(
+            env.shift_loc(head, IdxClass::Positive),
+            vec![(tail, Def::D)]
+        );
+        assert_eq!(
+            env.shift_loc(orphan, IdxClass::Positive),
+            vec![(orphan, Def::D)]
+        );
+        assert_eq!(env.locs.len(), before, "no untyped parent row appears");
+        // The parent found keeps its type, so projections through it work.
+        assert!(env.locs.ty(ga).is_some());
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   node.
 
 use crate::analysis::{AnalysisError, Analyzer};
-use crate::dense::{LocMap, LocSet};
+use crate::dense::{FxHashMap, LocSet};
+use crate::intra::project_operand;
 use crate::invocation_graph::{IgNodeId, MapInfo};
-use crate::location::{LocBase, LocId, Proj};
+use crate::location::{LocBase, LocId};
 use crate::points_to_set::{Def, PtSet};
 use crate::trace::TraceEvent;
 use pta_cfront::ast::FuncId;
@@ -58,7 +59,7 @@ impl<'p> Analyzer<'p> {
         let mut max_depth_seen: u32 = 0;
         let mut st = MapState {
             sym_reps: MapInfo::new(),
-            tr: LocMap::with_capacity(self.locs.len()),
+            tr: FxHashMap::default(),
             raw: Vec::new(),
             visited: LocSet::new(),
             queue: VecDeque::new(),
@@ -69,21 +70,13 @@ impl<'p> Analyzer<'p> {
         let null = self.locs.null();
         for i in 0..n_params {
             let formal_root = self.locs.var(ir, callee, pta_simple::IrVarId(i as u32));
-            let leaves = self.ptr_leaves(formal_root);
             let root_depth = self.locs.get(formal_root).projs.len();
-            for leaf in leaves {
-                let leaf_projs = self.locs.get(leaf).projs[root_depth..].to_vec();
-                let targets: Vec<(LocId, Def)> = match args.get(i) {
-                    Some(op) => {
-                        let projected = project_operand(op, &leaf_projs);
-                        match projected {
-                            Some(op) => {
-                                let mut env = self.renv(caller);
-                                env.operand_r_locations(input, &op)
-                            }
-                            None => Vec::new(),
-                        }
-                    }
+            for &leaf in self.ptr_leaves(formal_root).iter() {
+                let projected = args
+                    .get(i)
+                    .and_then(|op| project_operand(op, &self.locs.get(leaf).projs[root_depth..]));
+                let targets = match projected {
+                    Some(op) => self.renv(caller).operand_r_locations(input, &op),
                     None => Vec::new(),
                 };
                 if targets.is_empty() {
@@ -105,24 +98,14 @@ impl<'p> Analyzer<'p> {
         }
 
         // --- globals keep their relationships -------------------------
-        for gi in 0..ir.globals.len() {
-            let g = self.locs.global(ir, pta_cfront::ast::GlobalId(gi as u32));
-            for leaf in self.ptr_leaves(g) {
-                st.queue.push_back((leaf, leaf, 1));
-            }
-        }
+        st.queue
+            .extend(self.global_leaves.iter().map(|&leaf| (leaf, leaf, 1)));
         // --- the heap is visible everywhere ---------------------------
         let heap = self.locs.heap();
         st.queue.push_back((heap, heap, 1));
         // (extension) allocation-site heap locations are visible too
-        let sites: Vec<crate::location::LocId> = self
-            .locs
-            .ids()
-            .filter(|l| matches!(self.locs.get(*l).base, LocBase::HeapSite(_)))
-            .collect();
-        for site in sites {
-            st.queue.push_back((site, site, 1));
-        }
+        st.queue
+            .extend(self.locs.heap_sites().iter().map(|&site| (site, site, 1)));
 
         // --- propagate through all pointer levels ----------------------
         let max_depth = self.budget.max_map_depth();
@@ -144,18 +127,22 @@ impl<'p> Analyzer<'p> {
             if !st.visited.insert(c_src) {
                 continue;
             }
-            let targets: Vec<(LocId, Def)> = input.targets(c_src).collect();
-            for (t, d) in definite_first(targets) {
-                let t2 = self.translate(callee, t, k_src, &mut st);
-                st.raw.push((k_src, t2, d));
-                self.enqueue_content(t, t2, depth + 1, &mut st);
+            // Definite targets first, each group in id order (the set
+            // is sorted by target within a source).
+            for pass in [Def::D, Def::P] {
+                for (t, d) in input.targets(c_src).filter(|&(_, d)| d == pass) {
+                    let t2 = self.translate(callee, t, k_src, &mut st);
+                    st.raw.push((k_src, t2, d));
+                    self.enqueue_content(t, t2, depth + 1, &mut st);
+                }
             }
         }
 
         // --- assemble with definiteness rules --------------------------
         let mut callee_input = PtSet::new();
         self.null_init_function_vars(callee, &mut callee_input, false);
-        for (s, t, d) in std::mem::take(&mut st.raw) {
+        let raw = std::mem::take(&mut st.raw);
+        callee_input.weak_union(raw.into_iter().map(|(s, t, d)| {
             let d = if d == Def::D
                 && self.rep_multiplicity(s, &st.sym_reps) <= 1
                 && self.rep_multiplicity(t, &st.sym_reps) <= 1
@@ -164,8 +151,8 @@ impl<'p> Analyzer<'p> {
             } else {
                 Def::P
             };
-            callee_input.insert_weak(s, t, d);
-        }
+            (s, t, d)
+        }));
         let mapping = Mapping {
             callee_input,
             sym_reps: st.sym_reps,
@@ -227,23 +214,21 @@ impl<'p> Analyzer<'p> {
         if self.loc_visible(t) {
             return t;
         }
-        if let Some(s) = st.tr.get(t) {
+        if let Some(&s) = st.tr.get(&t) {
             return s;
         }
         // Longest mapped prefix: `x.f` translates through `x`'s symbol.
-        let td = self.locs.get(t).clone();
-        for k in (0..td.projs.len()).rev() {
+        for k in (0..self.locs.get(t).projs.len()).rev() {
+            let td = self.locs.get(t);
             let Some(prefix) = self.locs.lookup(&td.base, &td.projs[..k]) else {
                 continue;
             };
-            if let Some(base_sym) = st.tr.get(prefix) {
-                let mut cur = base_sym;
-                for p in &td.projs[k..] {
-                    match self.locs.project(cur, p.clone(), self.ir) {
-                        Some(n) => cur = n,
-                        None => break,
-                    }
-                }
+            if let Some(&base_sym) = st.tr.get(&prefix) {
+                // A step that fails keeps the deepest name reached.
+                let cur = self
+                    .locs
+                    .project_path(base_sym, t, k, self.ir)
+                    .unwrap_or_else(|reached| reached);
                 st.tr.insert(t, cur);
                 return cur;
             }
@@ -321,20 +306,8 @@ impl<'p> Analyzer<'p> {
             return;
         }
         let base_depth = self.locs.get(t).projs.len();
-        for leaf in self.ptr_leaves(t) {
-            let extra: Vec<Proj> = self.locs.get(leaf).projs[base_depth..].to_vec();
-            let mut k_leaf = t2;
-            let mut ok = true;
-            for p in extra {
-                match self.locs.project(k_leaf, p, self.ir) {
-                    Some(n) => k_leaf = n,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
+        for &leaf in self.ptr_leaves(t).iter() {
+            if let Ok(k_leaf) = self.locs.project_path(t2, leaf, base_depth, self.ir) {
                 st.queue.push_back((leaf, k_leaf, depth));
             }
         }
@@ -343,8 +316,8 @@ impl<'p> Analyzer<'p> {
 
 struct MapState {
     sym_reps: MapInfo,
-    /// Caller location → callee-side name (dense translation table).
-    tr: LocMap,
+    /// Caller location → callee-side name.
+    tr: FxHashMap<LocId, LocId>,
     raw: Vec<(LocId, LocId, Def)>,
     visited: LocSet,
     /// `(caller loc, callee-side name, indirection depth)`.
@@ -354,22 +327,4 @@ struct MapState {
 fn definite_first(mut v: Vec<(LocId, Def)>) -> Vec<(LocId, Def)> {
     v.sort_by_key(|(l, d)| (*d != Def::D, *l));
     v
-}
-
-fn project_operand(op: &Operand, projs: &[Proj]) -> Option<Operand> {
-    use pta_simple::{IdxClass, IrProj};
-    if projs.is_empty() {
-        return Some(op.clone());
-    }
-    let Operand::Ref(r) = op else { return None };
-    let mut r = r.clone();
-    for p in projs {
-        let ip = match p {
-            Proj::Field(f) => IrProj::Field(f.clone()),
-            Proj::Head => IrProj::Index(IdxClass::Zero),
-            Proj::Tail => IrProj::Index(IdxClass::Positive),
-        };
-        r = crate::intra::append_proj(r, ip);
-    }
-    Some(Operand::Ref(r))
 }

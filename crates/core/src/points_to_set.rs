@@ -406,10 +406,94 @@ impl PtSet {
     /// semantics (union; conflicting definiteness becomes `P`). Unlike
     /// [`PtSet::merge`], pairs present on only one side keep their
     /// definiteness — used for per-statement statistics over contexts.
+    /// A sorted merge-join.
     pub fn absorb(&mut self, other: &PtSet) {
-        for (src, tgt, d) in other.iter() {
-            self.insert_weak(src, tgt, d);
+        self.absorb_sorted(other.rep.as_slice());
+    }
+
+    /// Weak-unions a batch of triples in any order: the result equals
+    /// calling [`PtSet::insert_weak`] on each in turn. One sort, the
+    /// duplicates folded (their `D` bits AND together, as repeated
+    /// weak inserts do), then one merge-join.
+    pub(crate) fn weak_union(&mut self, triples: impl IntoIterator<Item = (LocId, LocId, Def)>) {
+        let mut batch: Vec<u64> = triples.into_iter().map(|(s, t, d)| pack(s, t, d)).collect();
+        batch.sort_unstable();
+        let mut w = 0;
+        for r in 0..batch.len() {
+            let e = batch[r];
+            if w > 0 && batch[w - 1] & KEY_MASK == e & KEY_MASK {
+                batch[w - 1] &= e | KEY_MASK;
+            } else {
+                batch[w] = e;
+                w += 1;
+            }
         }
+        batch.truncate(w);
+        self.absorb_sorted(&batch);
+    }
+
+    /// [`PtSet::absorb`] over sorted packed words with unique keys.
+    fn absorb_sorted(&mut self, b: &[u64]) {
+        if b.is_empty() {
+            return;
+        }
+        let a = self.rep.as_slice();
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (ka, kb) = (a[i] & KEY_MASK, b[j] & KEY_MASK);
+            match ka.cmp(&kb) {
+                std::cmp::Ordering::Equal => {
+                    out.push(ka | (a[i] & b[j] & D_BIT));
+                    i += 1;
+                    j += 1;
+                }
+                std::cmp::Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        self.rep = Rep::from_sorted(out);
+    }
+
+    /// Kills or demotes the triples of several sources in one pass:
+    /// `(src, true)` removes every triple from `src` like
+    /// [`PtSet::kill_from`], `(src, false)` demotes them to `P` like
+    /// [`PtSet::demote_from`]. `sources` must be in strictly ascending
+    /// source order.
+    pub(crate) fn kill_or_demote(&mut self, sources: &[(LocId, bool)]) {
+        debug_assert!(
+            sources.windows(2).all(|w| w[0].0 < w[1].0),
+            "sources must be strictly ascending"
+        );
+        let s = self.rep.as_mut_slice();
+        let (mut w, mut k) = (0, 0);
+        for r in 0..s.len() {
+            let e = s[r];
+            let src = unpack_src(e);
+            while k < sources.len() && sources[k].0 < src {
+                k += 1;
+            }
+            let e = match sources.get(k) {
+                Some(&(l, kill)) if l == src => {
+                    if kill {
+                        continue;
+                    }
+                    e & KEY_MASK
+                }
+                _ => e,
+            };
+            s[w] = e;
+            w += 1;
+        }
+        self.rep.truncate(w);
     }
 
     /// True if analyzing with `other` as input subsumes analyzing with
@@ -715,6 +799,102 @@ mod tests {
         let mut long: Vec<_> = (0..9).map(|i| (l(0), l(i), Def::P)).collect();
         long.swap(7, 8);
         assert_eq!(PtSet::from_sorted(long), None);
+    }
+
+    // ---- batch operations vs their one-triple-at-a-time definitions ----
+
+    /// A random definiteness.
+    fn def(g: &mut pta_prop::Rng) -> Def {
+        if g.ratio(1, 2) {
+            Def::D
+        } else {
+            Def::P
+        }
+    }
+
+    /// A set of exactly `n` distinct pairs over a small id space, so
+    /// random triples collide with its pairs; `n` is drawn around the
+    /// 6/7 inline boundary and well past it.
+    fn random_set(g: &mut pta_prop::Rng) -> PtSet {
+        let n = *g.pick(&[0usize, 1, 5, 6, 7, 8, 24, 40]);
+        let mut s = PtSet::new();
+        while s.len() < n {
+            let (src, tgt) = (g.u32(0..8), g.u32(0..8));
+            let d = def(g);
+            s.insert(l(src), l(tgt), d);
+        }
+        s
+    }
+
+    /// Random triples over the same id space, with repeated pairs of
+    /// mixed definiteness, and now and then ids at the top of the
+    /// packed fields.
+    fn random_triples(g: &mut pta_prop::Rng) -> Vec<(LocId, LocId, Def)> {
+        let n = g.usize(0..24);
+        (0..n)
+            .map(|_| {
+                let (src, tgt) = if g.ratio(1, 16) {
+                    (l(u32::MAX), l((1 << 31) - 1))
+                } else {
+                    (l(g.u32(0..8)), l(g.u32(0..8)))
+                };
+                (src, tgt, def(g))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prop_weak_union_equals_an_insert_weak_loop() {
+        pta_prop::check("weak_union ≡ insert_weak loop", 512, |g| {
+            let base = random_set(g);
+            let triples = random_triples(g);
+            let mut want = base.clone();
+            for &(s, t, d) in &triples {
+                want.insert_weak(s, t, d);
+            }
+            let mut got = base;
+            got.weak_union(triples);
+            assert_eq!(got, want);
+            assert!(got.iter().is_sorted_by_key(|(s, t, _)| (s, t)));
+        });
+    }
+
+    #[test]
+    fn prop_kill_or_demote_equals_per_source_kill_and_demote() {
+        pta_prop::check("kill_or_demote ≡ kill_from/demote_from", 512, |g| {
+            let base = random_set(g);
+            let mut sources = Vec::new();
+            for i in 0..9u32 {
+                if g.ratio(1, 2) {
+                    sources.push((l(i), g.ratio(1, 2)));
+                }
+            }
+            let mut want = base.clone();
+            for &(src, kill) in &sources {
+                if kill {
+                    want.kill_from(src);
+                } else {
+                    want.demote_from(src);
+                }
+            }
+            let mut got = base;
+            got.kill_or_demote(&sources);
+            assert_eq!(got, want);
+        });
+    }
+
+    #[test]
+    fn prop_absorb_equals_the_per_triple_loop() {
+        pta_prop::check("absorb ≡ insert_weak per triple", 512, |g| {
+            let (a, b) = (random_set(g), random_set(g));
+            let mut want = a.clone();
+            for (s, t, d) in b.iter() {
+                want.insert_weak(s, t, d);
+            }
+            let mut got = a;
+            got.absorb(&b);
+            assert_eq!(got, want);
+        });
     }
 
     #[test]

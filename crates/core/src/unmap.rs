@@ -10,7 +10,7 @@
 //! are updated weakly.
 
 use crate::analysis::{Analyzer, EscapeEvent, EscapeVia};
-use crate::dense::LocMap;
+use crate::dense::FxHashMap;
 use crate::invocation_graph::MapInfo;
 use crate::location::{LocBase, LocId};
 use crate::points_to_set::{Def, PtSet};
@@ -32,28 +32,38 @@ impl<'p> Analyzer<'p> {
     ) -> PtSet {
         let t0 = self.tracer.now();
         let mut out = input.clone();
-        let rev = self.reverse_map(sym_reps);
+        let rev = reverse_map(sym_reps);
 
-        // Strong replacement for uniquely-named non-summary sources;
-        // weak (demote) for the rest.
-        for &l in mapped_sources {
-            let unique = match rev.get(l) {
-                Some(sym) => sym_reps.get(&sym).map_or(1, |r| r.len()) == 1,
-                None => true, // visible location: named by itself
-            };
-            if unique && !self.locs.is_summary(l) {
-                out.kill_from(l);
-            } else {
-                out.demote_from(l);
-            }
-        }
+        // Strong replacement (kill) for uniquely-named non-summary
+        // sources; weak (demote) for the rest. `mapped_sources` is in
+        // ascending id order.
+        let retire: Vec<(LocId, bool)> = mapped_sources
+            .iter()
+            .map(|&l| {
+                let unique = match rev.get(&l) {
+                    Some(sym) => sym_reps.get(sym).map_or(1, |r| r.len()) == 1,
+                    None => true, // visible location: named by itself
+                };
+                (l, unique && !self.locs.is_summary(l))
+            })
+            .collect();
+        out.kill_or_demote(&retire);
 
+        let mut gen = Vec::with_capacity(callee_out.len());
+        let (mut srcs, mut tgts) = (Vec::new(), Vec::new());
         for (s, t, d) in callee_out.iter() {
-            let srcs = self.rtr(callee, s, sym_reps);
+            // Visible endpoints name themselves in the caller.
+            if self.loc_visible(s) && self.loc_visible(t) {
+                gen.push((s, t, d));
+                continue;
+            }
+            srcs.clear();
+            self.rtr(callee, s, sym_reps, &mut srcs);
             if srcs.is_empty() {
                 continue;
             }
-            let tgts = self.rtr(callee, t, sym_reps);
+            tgts.clear();
+            self.rtr(callee, t, sym_reps, &mut tgts);
             if tgts.is_empty() {
                 if self.is_callee_local(callee, t) {
                     self.warn(format!(
@@ -71,18 +81,16 @@ impl<'p> Analyzer<'p> {
                 }
                 continue;
             }
-            let unique = srcs.len() == 1 && tgts.len() == 1;
+            let d2 = if d == Def::D && srcs.len() == 1 && tgts.len() == 1 {
+                Def::D
+            } else {
+                Def::P
+            };
             for &s2 in &srcs {
-                for &t2 in &tgts {
-                    let d2 = if d == Def::D && unique {
-                        Def::D
-                    } else {
-                        Def::P
-                    };
-                    out.insert_weak(s2, t2, d2);
-                }
+                gen.extend(tgts.iter().map(|&t2| (s2, t2, d2)));
             }
         }
+        out.weak_union(gen);
         if let Some(t0) = t0 {
             let dur_us = t0.elapsed().as_micros() as u64;
             let callee_name = self.ir.function(callee).name.clone();
@@ -97,58 +105,55 @@ impl<'p> Analyzer<'p> {
         out
     }
 
-    /// Reverse-translates one callee location to caller locations.
-    /// Returns an empty vector for locations scoped to the callee.
-    pub(crate) fn rtr(&mut self, callee: FuncId, l: LocId, sym_reps: &MapInfo) -> Vec<LocId> {
-        let d = self.locs.get(l).clone();
+    /// Reverse-translates one callee location to caller locations,
+    /// appended to `out`. Appends nothing for locations scoped to the
+    /// callee.
+    pub(crate) fn rtr(
+        &mut self,
+        callee: FuncId,
+        l: LocId,
+        sym_reps: &MapInfo,
+        out: &mut Vec<LocId>,
+    ) {
+        let d = self.locs.get(l);
         match d.base {
             LocBase::Symbolic(f, _) if f == callee => {
                 let Some(base) = self.locs.lookup(&d.base, &[]) else {
-                    return Vec::new();
+                    return;
                 };
                 let Some(reps) = sym_reps.get(&base) else {
-                    return Vec::new();
+                    return;
                 };
-                let mut out = Vec::new();
                 for &rep in reps {
-                    let mut cur = rep;
-                    let mut ok = true;
-                    for p in &d.projs {
-                        match self.locs.project(cur, p.clone(), self.ir) {
-                            Some(n) => cur = n,
-                            None => {
-                                ok = false;
-                                break;
-                            }
+                    if let Ok(cur) = self.locs.project_path(rep, l, 0, self.ir) {
+                        if !out.contains(&cur) {
+                            out.push(cur);
                         }
                     }
-                    if ok && !out.contains(&cur) {
-                        out.push(cur);
-                    }
                 }
-                out
             }
-            LocBase::Var(f, _) | LocBase::Ret(f) | LocBase::Symbolic(f, _) if f == callee => {
-                Vec::new()
-            }
-            // Variables or symbols of some *other* function should never
-            // appear in a callee's output; drop them defensively.
-            LocBase::Var(..) | LocBase::Ret(_) | LocBase::Symbolic(..) => Vec::new(),
-            _ => vec![l],
+            // Variables and return slots of the callee die with it;
+            // those of some *other* function (and symbols of other
+            // functions) should never appear in a callee's output and
+            // are dropped defensively.
+            LocBase::Var(..) | LocBase::Ret(_) | LocBase::Symbolic(..) => {}
+            _ => out.push(l),
         }
     }
 
     pub(crate) fn is_callee_local(&self, callee: FuncId, l: LocId) -> bool {
         matches!(self.locs.get(l).base, LocBase::Var(f, _) if f == callee)
     }
+}
 
-    fn reverse_map(&self, sym_reps: &MapInfo) -> LocMap {
-        let mut rev = LocMap::with_capacity(self.locs.len());
-        for (sym, reps) in sym_reps {
-            for &r in reps {
-                rev.insert(r, *sym);
-            }
+/// Invisible caller location → the symbolic name standing for it (the
+/// last one in map order when several do).
+fn reverse_map(sym_reps: &MapInfo) -> FxHashMap<LocId, LocId> {
+    let mut rev = FxHashMap::default();
+    for (sym, reps) in sym_reps {
+        for &r in reps {
+            rev.insert(r, *sym);
         }
-        rev
     }
+    rev
 }

@@ -74,9 +74,11 @@ fn round_trips_field_chains() {
     let go = t.global(&ir, pta_cfront::ast::GlobalId(0));
 
     // go.in.ip — a two-level field chain.
-    let inner = t.project(go, Proj::Field("in".into()), &ir).expect("go.in");
+    let inner = t
+        .project(go, &Proj::Field("in".into()), &ir)
+        .expect("go.in");
     let ip = t
-        .project(inner, Proj::Field("ip".into()), &ir)
+        .project(inner, &Proj::Field("ip".into()), &ir)
         .expect("go.in.ip");
     assert_eq!(t.name(ip), "go.in.ip");
     let d = t.get(ip).clone();
@@ -86,8 +88,8 @@ fn round_trips_field_chains() {
     );
     assert_eq!(t.lookup(&d.base, &d.projs), Some(ip));
     // The same chain re-projected hits the same id.
-    let inner2 = t.project(go, Proj::Field("in".into()), &ir).unwrap();
-    assert_eq!(t.project(inner2, Proj::Field("ip".into()), &ir), Some(ip));
+    let inner2 = t.project(go, &Proj::Field("in".into()), &ir).unwrap();
+    assert_eq!(t.project(inner2, &Proj::Field("ip".into()), &ir), Some(ip));
 }
 
 #[test]
@@ -97,17 +99,17 @@ fn round_trips_head_tail_and_mixed_chains() {
     let go = t.global(&ir, pta_cfront::ast::GlobalId(0));
     let garr = t.global(&ir, pta_cfront::ast::GlobalId(1));
 
-    let head = t.project(garr, Proj::Head, &ir).expect("garr[0]");
-    let tail = t.project(garr, Proj::Tail, &ir).expect("garr[1..]");
+    let head = t.project(garr, &Proj::Head, &ir).expect("garr[0]");
+    let tail = t.project(garr, &Proj::Tail, &ir).expect("garr[1..]");
     assert_ne!(head, tail);
     assert!(!t.is_summary(head));
     assert!(t.is_summary(tail), "array tails are summaries");
 
     // go.arr[1..].ia[0] — field → tail → field → head.
-    let arr = t.project(go, Proj::Field("arr".into()), &ir).unwrap();
-    let at = t.project(arr, Proj::Tail, &ir).unwrap();
-    let ia = t.project(at, Proj::Field("ia".into()), &ir).unwrap();
-    let iah = t.project(ia, Proj::Head, &ir).unwrap();
+    let arr = t.project(go, &Proj::Field("arr".into()), &ir).unwrap();
+    let at = t.project(arr, &Proj::Tail, &ir).unwrap();
+    let ia = t.project(at, &Proj::Field("ia".into()), &ir).unwrap();
+    let iah = t.project(ia, &Proj::Head, &ir).unwrap();
     assert_eq!(t.name(iah), "go.arr[1..].ia[0]");
     assert!(t.is_summary(iah), "anything under a tail stays a summary");
     let d = t.get(iah).clone();
@@ -206,7 +208,7 @@ fn prop_random_intern_sequences_are_consistent() {
                 1 => Proj::Head,
                 _ => Proj::Tail,
             };
-            if let Some(id) = t.project(start, proj, &ir) {
+            if let Some(id) = t.project(start, &proj, &ir) {
                 let d = t.get(id).clone();
                 let prev = model.insert((d.base.clone(), d.projs.clone()), id);
                 if let Some(p) = prev {
