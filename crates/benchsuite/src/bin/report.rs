@@ -5,7 +5,7 @@
 //! report [SECTION] [--jobs N] [--timings] [--lint] [--profile]
 //!        [--json PATH] [--serve-json PATH] [--store-dir DIR]
 //!        [--deadline MS] [--budget N] [--prune-liveness]
-//!        [--engine ig|summary] [--summary-json PATH]
+//!        [--memo node|program] [--summary-json PATH]
 //!
 //! SECTION: table2|table3|table4|table5|table6|livc|ablation|
 //!          heap-sites|summary|summary-scale|all        (default: all)
@@ -39,15 +39,15 @@
 //!              there against an exhaustive cold analysis, and print
 //!              the latency table; the JSON artifact then carries a
 //!              `"demand"` section (see docs/QUERIES.md)
-//! --engine ig|summary  interprocedural engine for the suite runs:
-//!              `ig` (default) is the paper's invocation-graph engine,
-//!              `summary` the bottom-up procedure-summary engine (same
-//!              answers; see DESIGN.md §11)
-//! --summary-json PATH  write the summary-engine artifact
-//!              (`BENCH_summary.json`): the E19 scaling table on the
-//!              call-fanout generator plus the summary-extended E11
-//!              ablation; the `summary-scale` section prints the E19
-//!              table (timings, so excluded from `all` like --timings)
+//! --memo node|program  memo scope for the suite runs: `node` (default)
+//!              is the paper's per-node memo, `program` also reuses a
+//!              context pair at every call site with the same input
+//!              (same answers; see DESIGN.md §11)
+//! --summary-json PATH  write the memo-scope artifact
+//!              (`BENCH_summary.json`): the E19 node-vs-program table on
+//!              the call-fanout generator plus the E11 ablation; the
+//!              `summary-scale` section prints the E19 table (timings,
+//!              so excluded from `all` like --timings)
 //! ```
 //!
 //! Tables 2–6 are byte-identical for every `--jobs` value; timings are
@@ -121,11 +121,11 @@ fn main() {
             }
             "--prune-liveness" => config.prune_liveness = true,
             "--demand" => demand = true,
-            "--engine" => {
+            "--memo" => {
                 let v = args.next().unwrap_or_default();
-                match pta_core::Engine::parse(&v) {
-                    Some(e) => config.engine = e,
-                    None => die_usage(&format!("--engine expects `ig` or `summary`, got `{v}`")),
+                match pta_core::MemoScope::parse(&v) {
+                    Some(m) => config.memo = m,
+                    None => die_usage(&format!("--memo expects `node` or `program`, got `{v}`")),
                 }
             }
             "--summary-json" => match args.next() {
@@ -374,23 +374,23 @@ fn main() {
             Ok(rows) => {
                 if scale_wanted {
                     println!(
-                        "== Summary-engine scaling on call fan-out (E19) ==\n{}",
+                        "== Program-scope memo on call fan-out (E19) ==\n{}",
                         report::render_summary_scale(&rows)
                     );
                 }
-                if rows.iter().any(|r| !r.sound) {
-                    eprintln!("report: summary-engine facts are not a sound superset");
+                if rows.iter().any(|r| !r.identical) {
+                    eprintln!("report: program-scope facts diverged from node scope");
                     failed = true;
                 }
                 if let (Some(path), Some(ablation)) = (&summary_json, &ablation_rows) {
                     let artifact = report::summary_artifact(ablation, &rows);
                     std::fs::write(path, artifact)
                         .unwrap_or_else(|e| die_usage(&format!("cannot write {path}: {e}")));
-                    eprintln!("wrote summary study to {path}");
+                    eprintln!("wrote memo-scope study to {path}");
                 }
             }
             Err(e) => {
-                eprintln!("report: summary scaling study failed: {e}");
+                eprintln!("report: memo-scope study failed: {e}");
                 failed = true;
             }
         }

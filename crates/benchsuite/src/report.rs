@@ -1048,10 +1048,6 @@ pub struct AblationRow {
     pub name: String,
     /// Context-sensitive (the paper's analysis).
     pub context_sensitive: f64,
-    /// The bottom-up summary engine (same answers as the
-    /// context-sensitive column by construction; the column is the
-    /// cross-engine regression gate).
-    pub summary: f64,
     /// Context-insensitive flow-sensitive baseline.
     pub context_insensitive: f64,
     /// Andersen-style flow-insensitive baseline.
@@ -1119,11 +1115,6 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
     );
     let mut result = cs_r?;
     let cs = stats::table3(b.name, &ir, &mut result).avg();
-
-    // The summary engine re-derives the same facts bottom-up; its
-    // column in the ablation is the cross-engine precision gate.
-    let mut sum_result = pta_core::analyze_summary(&ir, pta_core::AnalysisConfig::default())?;
-    let su = stats::table3(b.name, &ir, &mut sum_result).avg();
 
     let ins = ins_r?;
     let mut ins_result = pta_core::AnalysisResult {
@@ -1199,7 +1190,6 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
     Ok(AblationRow {
         name: b.name.to_owned(),
         context_sensitive: cs,
-        summary: su,
         context_insensitive: ci,
         andersen: an,
         steensgaard: se,
@@ -1213,17 +1203,16 @@ pub fn render_ablation(rows: &[AblationRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<10} {:>10} {:>8} {:>12} {:>10} {:>12} {:>8} {:>8}   (avg targets/ref; %D = definite single target)",
-        "Benchmark", "ctx-sens", "summary", "ctx-insens", "andersen", "steensgaard", "%D-cs", "%D-ci"
+        "{:<10} {:>10} {:>12} {:>10} {:>12} {:>8} {:>8}   (avg targets/ref; %D = definite single target)",
+        "Benchmark", "ctx-sens", "ctx-insens", "andersen", "steensgaard", "%D-cs", "%D-ci"
     );
-    let mut sums = (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let mut sums = (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<10} {:>10.2} {:>8.2} {:>12.2} {:>10.2} {:>12.2} {:>7.1}% {:>7.1}%",
+            "{:<10} {:>10.2} {:>12.2} {:>10.2} {:>12.2} {:>7.1}% {:>7.1}%",
             r.name,
             r.context_sensitive,
-            r.summary,
             r.context_insensitive,
             r.andersen,
             r.steensgaard,
@@ -1231,25 +1220,23 @@ pub fn render_ablation(rows: &[AblationRow]) -> String {
             r.definite_ci
         );
         sums.0 += r.context_sensitive;
-        sums.1 += r.summary;
-        sums.2 += r.context_insensitive;
-        sums.3 += r.andersen;
-        sums.4 += r.steensgaard;
-        sums.5 += r.definite_cs;
-        sums.6 += r.definite_ci;
+        sums.1 += r.context_insensitive;
+        sums.2 += r.andersen;
+        sums.3 += r.steensgaard;
+        sums.4 += r.definite_cs;
+        sums.5 += r.definite_ci;
     }
     let n = rows.len().max(1) as f64;
     let _ = writeln!(
         out,
-        "{:<10} {:>10.2} {:>8.2} {:>12.2} {:>10.2} {:>12.2} {:>7.1}% {:>7.1}%",
+        "{:<10} {:>10.2} {:>12.2} {:>10.2} {:>12.2} {:>7.1}% {:>7.1}%",
         "MEAN",
         sums.0 / n,
         sums.1 / n,
         sums.2 / n,
         sums.3 / n,
         sums.4 / n,
-        sums.5 / n,
-        sums.6 / n
+        sums.5 / n
     );
     out
 }
@@ -1439,12 +1426,12 @@ pub fn demand_json(rows: &[DemandBenchRow]) -> String {
     out
 }
 
-/// Extension experiment (E19): where bottom-up summaries overtake
+/// Extension experiment (E19): where the program-scope memo overtakes
 /// per-invocation re-analysis. One row per size tier of the
 /// `call-fanout` stress family (see `pta_prop::cgen::call_fanout`):
 /// `n` call sites hand one worker function the same calling context, so
-/// the invocation-graph engine re-analyses the worker `n` times while
-/// the summary engine replays `n - 1` of them from its context memo.
+/// node scope re-analyses the worker `n` times while program scope
+/// replays `n - 1` of them from its context memo.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryScaleRow {
     /// Fan-out (call sites on the worker = size-tier parameter).
@@ -1453,25 +1440,22 @@ pub struct SummaryScaleRow {
     pub functions: usize,
     /// SIMPLE statements in the generated program.
     pub stmts: usize,
-    /// Wall clock of the invocation-graph engine (best of three).
-    pub ig_ms: f64,
-    /// Wall clock of the summary engine (best of three).
-    pub summary_ms: f64,
-    /// Calling contexts the summary engine replayed from its memo.
+    /// Wall clock under node scope (best of three).
+    pub node_ms: f64,
+    /// Wall clock under program scope (best of three).
+    pub program_ms: f64,
+    /// Calling contexts program scope replayed from its memo.
     pub memo_hits: usize,
-    /// True when the summary facts are a sound superset of the
-    /// invocation-graph facts (must always hold).
-    pub sound: bool,
-    /// True when the name-level facts are identical (they are, on every
-    /// program — the stronger observed property).
+    /// True when the two scopes agree id for id
+    /// ([`pta_store::run_divergence`]); must always hold.
     pub identical: bool,
 }
 
 impl SummaryScaleRow {
-    /// Invocation-graph over summary wall clock.
+    /// Node-scope over program-scope wall clock.
     pub fn speedup(&self) -> f64 {
-        if self.summary_ms > 0.0 {
-            self.ig_ms / self.summary_ms
+        if self.program_ms > 0.0 {
+            self.node_ms / self.program_ms
         } else {
             f64::INFINITY
         }
@@ -1481,7 +1465,24 @@ impl SummaryScaleRow {
 /// The E19 size tiers (call-site fan-out of the generated programs).
 pub const SUMMARY_SCALE_TIERS: &[usize] = &[2, 4, 8, 16, 32, 64];
 
-/// Runs the summary-vs-invocation-graph scaling study (E19) on the
+/// Best-of-three wall clock of one analysis (these programs analyse in
+/// milliseconds, so a single sample is mostly scheduler noise), with
+/// the last run.
+fn best_of_three<T>(
+    mut run: impl FnMut() -> Result<T, pta_core::AnalysisError>,
+) -> Result<(f64, T), PtaError> {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..3 {
+        let t = Instant::now();
+        let r = run()?;
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        last = Some(r);
+    }
+    Ok((best, last.expect("three iterations ran")))
+}
+
+/// Runs the node-scope vs program-scope memo study (E19) on the
 /// `call-fanout` generator at the given size tiers.
 ///
 /// # Errors
@@ -1493,76 +1494,55 @@ pub fn summary_scale_study(tiers: &[usize]) -> Result<Vec<SummaryScaleRow>, PtaE
         let source = pta_prop::cgen::call_fanout(n);
         let ir = pta_simple::compile(&source)?;
         let config = AnalysisConfig::default();
-        // Best-of-three wall clocks: these programs analyse in
-        // milliseconds, so a single sample is mostly scheduler noise.
-        let mut ig_ms = f64::INFINITY;
-        let mut ig_result = None;
-        for _ in 0..3 {
-            let t = Instant::now();
-            let r = pta_core::analyze_with(&ir, config.clone())?;
-            ig_ms = ig_ms.min(t.elapsed().as_secs_f64() * 1e3);
-            ig_result = Some(r);
-        }
-        let summary_config = AnalysisConfig {
-            engine: pta_core::Engine::Summary,
-            ..config
+        let (node_ms, _) = best_of_three(|| pta_core::analyze_with(&ir, config.clone()))?;
+        let program_config = AnalysisConfig {
+            memo: pta_core::MemoScope::Program,
+            ..config.clone()
         };
-        let mut summary_ms = f64::INFINITY;
-        let mut summary_run = None;
-        for _ in 0..3 {
-            let t = Instant::now();
-            let r = pta_core::analyze_recorded(&ir, summary_config.clone())?;
-            summary_ms = summary_ms.min(t.elapsed().as_secs_f64() * 1e3);
-            summary_run = Some(r);
-        }
-        let ig_result = ig_result.expect("three iterations ran");
-        let summary_run = summary_run.expect("three iterations ran");
+        let (program_ms, program_run) =
+            best_of_three(|| pta_core::analyze_recorded(&ir, program_config.clone()))?;
+        // The node-scope reference for the identity check captures
+        // too; it runs outside the timed loop.
+        let node_run = pta_core::analyze_recorded(&ir, config.clone())?;
         rows.push(SummaryScaleRow {
             call_sites: n,
             functions: ir.defined_functions().count(),
             stmts: ir.total_basic_stmts(),
-            ig_ms,
-            summary_ms,
-            memo_hits: summary_run.seed_hits,
-            sound: pta_core::sound_superset(&ig_result, &summary_run.result),
-            identical: pta_core::named_facts(&ig_result)
-                == pta_core::named_facts(&summary_run.result),
+            node_ms,
+            program_ms,
+            memo_hits: program_run.seed_hits,
+            identical: pta_store::run_divergence(&ir, &config, &node_run, &program_run).is_none(),
         });
     }
     Ok(rows)
 }
 
-/// Renders the summary-scaling study (E19).
+/// Renders the memo-scope study (E19).
 pub fn render_summary_scale(rows: &[SummaryScaleRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<6} {:>6} {:>7} {:>9} {:>12} {:>10} {:>8}",
-        "sites", "#fns", "stmts", "ig-ms", "summary-ms", "memo-hits", "speedup"
+        "{:<6} {:>6} {:>7} {:>9} {:>11} {:>10} {:>8}",
+        "sites", "#fns", "stmts", "node-ms", "program-ms", "memo-hits", "speedup"
     );
     for r in rows {
-        let marker = match (r.sound, r.identical) {
-            (false, _) => "  [UNSOUND]",
-            (true, false) => "  [superset]",
-            (true, true) => "",
-        };
         let _ = writeln!(
             out,
-            "{:<6} {:>6} {:>7} {:>9.3} {:>12.3} {:>10} {:>7.2}x{}",
+            "{:<6} {:>6} {:>7} {:>9.3} {:>11.3} {:>10} {:>7.2}x{}",
             r.call_sites,
             r.functions,
             r.stmts,
-            r.ig_ms,
-            r.summary_ms,
+            r.node_ms,
+            r.program_ms,
             r.memo_hits,
             r.speedup(),
-            marker
+            if r.identical { "" } else { "  [DIVERGED]" }
         );
     }
     out
 }
 
-/// The summary study as a JSON array value (the `"summary_scale"`
+/// The memo-scope study as a JSON array value (the `"summary_scale"`
 /// section of `BENCH_summary.json`).
 pub fn summary_scale_json(rows: &[SummaryScaleRow]) -> String {
     let mut out = String::from("[");
@@ -1570,16 +1550,15 @@ pub fn summary_scale_json(rows: &[SummaryScaleRow]) -> String {
         let _ = write!(
             out,
             "{}{{\"call_sites\":{},\"functions\":{},\"stmts\":{},\
-             \"ig_ms\":{:.3},\"summary_ms\":{:.3},\"memo_hits\":{},\
-             \"sound\":{},\"identical\":{},\"speedup\":{:.2}}}",
+             \"node_ms\":{:.3},\"program_ms\":{:.3},\"memo_hits\":{},\
+             \"identical\":{},\"speedup\":{:.2}}}",
             if i == 0 { "" } else { "," },
             r.call_sites,
             r.functions,
             r.stmts,
-            r.ig_ms,
-            r.summary_ms,
+            r.node_ms,
+            r.program_ms,
             r.memo_hits,
-            r.sound,
             r.identical,
             r.speedup()
         );
@@ -1589,19 +1568,18 @@ pub fn summary_scale_json(rows: &[SummaryScaleRow]) -> String {
 }
 
 /// The E11 ablation as a JSON array value (the `"ablation"` section of
-/// `BENCH_summary.json` — the per-benchmark precision columns with the
-/// summary engine alongside the four E11 analyses).
+/// `BENCH_summary.json` — the per-benchmark precision columns of the
+/// four E11 analyses).
 pub fn ablation_json(rows: &[AblationRow]) -> String {
     let mut out = String::from("[");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             out,
-            "{}{{\"name\":\"{}\",\"context_sensitive\":{:.4},\"summary\":{:.4},\
+            "{}{{\"name\":\"{}\",\"context_sensitive\":{:.4},\
              \"context_insensitive\":{:.4},\"andersen\":{:.4},\"steensgaard\":{:.4}}}",
             if i == 0 { "" } else { "," },
             r.name,
             r.context_sensitive,
-            r.summary,
             r.context_insensitive,
             r.andersen,
             r.steensgaard
@@ -1611,11 +1589,11 @@ pub fn ablation_json(rows: &[AblationRow]) -> String {
     out
 }
 
-/// The `BENCH_summary.json` artifact: the E19 scaling table plus the
-/// summary-extended E11 ablation, as one JSON document.
+/// The `BENCH_summary.json` artifact: the E19 memo-scope table plus the
+/// E11 ablation, as one JSON document.
 pub fn summary_artifact(ablation: &[AblationRow], scale: &[SummaryScaleRow]) -> String {
     format!(
-        "{{\"schema\":\"pta-bench-summary-v1\",\"ablation\":{},\"summary_scale\":{}}}\n",
+        "{{\"schema\":\"pta-bench-summary-v2\",\"ablation\":{},\"summary_scale\":{}}}\n",
         ablation_json(ablation),
         summary_scale_json(scale)
     )

@@ -16,10 +16,11 @@
 //! pta callgraph <file.c> [--dot | --json]
 //! ```
 //!
-//! Every analysing mode also takes `--engine ig|summary` to pick the
-//! interprocedural engine: `ig` (default) is the paper's
-//! invocation-graph analysis, `summary` the bottom-up procedure-summary
-//! engine (same answers, pre-composed summaries; see `DESIGN.md` §11).
+//! Every analysing mode also takes `--memo node|program` to pick where
+//! finished calling contexts are reused: `node` (default) is the
+//! paper's per-node memo, `program` also replays a context pair at
+//! every call site with the same input (same answers; see `DESIGN.md`
+//! §11).
 //!
 //! With no flags, prints a short summary. `--points-to` dumps the
 //! merged points-to set at every program point. `--deadline` and
@@ -110,7 +111,7 @@ fn parse_args() -> Result<Options, String> {
                 }
                 o.config.max_steps = n;
             }
-            "--engine" => o.config.engine = parse_engine(&mut argv)?,
+            "--memo" => o.config.memo = parse_memo(&mut argv)?,
             "--help" | "-h" => return Err(usage()),
             f if !f.starts_with('-') => {
                 if o.file.is_some() {
@@ -136,16 +137,16 @@ fn parse_value<T: std::str::FromStr>(
         .map_err(|_| format!("{flag}: invalid value `{raw}`"))
 }
 
-fn parse_engine(argv: &mut impl Iterator<Item = String>) -> Result<pta_core::Engine, String> {
-    let raw: String = parse_value(argv, "--engine")?;
-    pta_core::Engine::parse(&raw)
-        .ok_or_else(|| format!("--engine: unknown engine `{raw}` (expected `ig` or `summary`)"))
+fn parse_memo(argv: &mut impl Iterator<Item = String>) -> Result<pta_core::MemoScope, String> {
+    let raw: String = parse_value(argv, "--memo")?;
+    pta_core::MemoScope::parse(&raw)
+        .ok_or_else(|| format!("--memo: unknown scope `{raw}` (expected `node` or `program`)"))
 }
 
 fn usage() -> String {
     "usage: pta <file.c> [--simple] [--points-to] [--ig] [--call-graph] \
      [--aliases] [--replace] [--tables] [--warnings] [--dot] [--null] \
-     [--deadline MS] [--budget N] [--engine ig|summary]"
+     [--deadline MS] [--budget N] [--memo node|program]"
         .to_owned()
 }
 
@@ -167,7 +168,7 @@ fn lint_usage() -> String {
     format!(
         "usage: pta lint <file.c>... [--json] [--allow ID] [--deny ID] \
          [--jobs N] [--deadline MS] [--budget N] [--prune-liveness] \
-         [--engine ig|summary] [--check ID [--demand]]\nchecks:\n{}\n\
+         [--memo node|program] [--check ID [--demand]]\nchecks:\n{}\n\
          --check runs (and reports) a single check; with --demand it \
          runs demand-driven — the analysis covers only the backward \
          slice of the check's query roots (see docs/QUERIES.md), with \
@@ -214,7 +215,7 @@ fn parse_lint_args(args: impl Iterator<Item = String>) -> Result<LintCliOptions,
                 o.config.max_steps = n;
             }
             "--prune-liveness" => o.config.prune_liveness = true,
-            "--engine" => o.config.engine = parse_engine(&mut argv)?,
+            "--memo" => o.config.memo = parse_memo(&mut argv)?,
             "--check" => o.check = Some(parse_value(&mut argv, "--check")?),
             "--demand" => o.demand = true,
             "--help" | "-h" => return Err(lint_usage()),
@@ -337,7 +338,7 @@ struct TraceCliOptions {
 fn trace_usage() -> String {
     "usage: pta trace <file.c> [--trace-out PATH] [--chrome-out PATH] \
      [--metrics] [--scrub-timings] [--deadline MS] [--budget N] \
-     [--engine ig|summary]\n\
+     [--memo node|program]\n\
      JSONL events go to stdout unless --trace-out is given; the schema \
      is documented in docs/TRACING.md"
         .to_owned()
@@ -370,7 +371,7 @@ fn parse_trace_args(args: impl Iterator<Item = String>) -> Result<TraceCliOption
                 }
                 o.config.max_steps = n;
             }
-            "--engine" => o.config.engine = parse_engine(&mut argv)?,
+            "--memo" => o.config.memo = parse_memo(&mut argv)?,
             "--help" | "-h" => return Err(trace_usage()),
             f if !f.starts_with('-') => {
                 if o.file.is_some() {
@@ -478,7 +479,7 @@ struct ServeCliOptions {
 fn serve_usage() -> String {
     "usage: pta serve <file.c>... [--store PATH | --store-dir DIR] \
      [--listen ADDR] [--cache N] [--query-deadline MS] [--metrics] \
-     [--deadline MS] [--budget N] [--engine ig|summary] [--max-conns N] \
+     [--deadline MS] [--budget N] [--memo node|program] [--max-conns N] \
      [--io-timeout-ms MS] [--max-line-bytes N] [--demand]\n\
      JSONL request/response daemon (see docs/SERVING.md). Requests: \
      {\"id\":…,\"op\":\"points-to\"|\"aliases?\"|\"call-targets\"|\"lint\",…}, \
@@ -545,7 +546,7 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeCliOption
                 }
                 o.config.max_steps = n;
             }
-            "--engine" => o.config.engine = parse_engine(&mut argv)?,
+            "--memo" => o.config.memo = parse_memo(&mut argv)?,
             "--max-conns" => o.max_conns = parse_value(&mut argv, "--max-conns")?,
             "--io-timeout-ms" => {
                 let ms: u64 = parse_value(&mut argv, "--io-timeout-ms")?;
@@ -833,7 +834,7 @@ fn serve_stdio(handler: &impl pta_store::LineHandler, metrics: bool) -> ExitCode
 }
 
 /// `pta callgraph <file.c>` — prints the conservative call graph the
-/// summary and demand engines plan over (indirect calls resolved to
+/// program-scope memo and the demand slicer plan over (indirect calls resolved to
 /// every address-taken function), its Tarjan SCCs, and the
 /// condensation, without running any points-to analysis. `--dot`
 /// renders Graphviz (SCCs as clusters), `--json` a machine-readable

@@ -11,44 +11,36 @@ use crate::trace::{TraceEvent, TraceSink, Tracer};
 use pta_cfront::ast::FuncId;
 use pta_cfront::types::Type;
 use pta_simple::{CallSiteId, IrProgram, StmtId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which interprocedural engine answers a run.
+/// How far a completed calling context is reused.
 ///
-/// Both engines share the statement rules, map/unmap, and the
-/// invocation graph; they differ in how calling contexts are reused.
+/// Both scopes run the one invocation-graph engine and give the same
+/// answers, id for id; they differ only in which memo a call consults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The paper's engine: per-invocation re-analysis with per-node
-    /// memoization (Figure 4).
+pub enum MemoScope {
+    /// Figure 4: each invocation-graph node remembers its own last
+    /// context pair.
     #[default]
-    InvocationGraph,
-    /// The bottom-up summary engine ([`crate::summary`]): GPG summaries
-    /// composed over call-graph SCCs drive a program-wide memo of
-    /// context pairs, so an input context analysed at one call site is
-    /// replayed at every other site that produces it.
-    Summary,
+    Node,
+    /// Value contexts: a finished pair of a function whose conservative
+    /// call closure is recursion-free is also published program-wide,
+    /// so an input analysed at one call site is replayed at every other
+    /// site that produces it.
+    Program,
 }
 
-impl Engine {
-    /// Stable tag for flags, traces, and JSON artifacts.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Engine::InvocationGraph => "ig",
-            Engine::Summary => "summary",
-        }
-    }
-
-    /// Parses a `--engine` flag value.
-    pub fn parse(s: &str) -> Option<Engine> {
+impl MemoScope {
+    /// Parses a `--memo` flag value.
+    pub fn parse(s: &str) -> Option<MemoScope> {
         match s {
-            "ig" | "invocation-graph" => Some(Engine::InvocationGraph),
-            "summary" => Some(Engine::Summary),
+            "node" => Some(MemoScope::Node),
+            "program" => Some(MemoScope::Program),
             _ => None,
         }
     }
@@ -104,8 +96,8 @@ pub struct AnalysisConfig {
     /// roots the slice was planned for — see [`crate::demand`] and
     /// `docs/QUERIES.md`; `None` is the exhaustive engine.
     pub demand: Option<crate::demand::DemandInfo>,
-    /// Which interprocedural engine answers the run (see [`Engine`]).
-    pub engine: Engine,
+    /// Where completed context pairs are reused (see [`MemoScope`]).
+    pub memo: MemoScope,
 }
 
 impl Default for AnalysisConfig {
@@ -122,7 +114,7 @@ impl Default for AnalysisConfig {
             max_map_depth: 128,
             prune_liveness: false,
             demand: None,
-            engine: Engine::default(),
+            memo: MemoScope::default(),
         }
     }
 }
@@ -581,24 +573,17 @@ fn analyze_impl<'p>(
     warm: Option<WarmStart>,
 ) -> Result<EngineRun, AnalysisError> {
     let entry = ir.entry.ok_or(AnalysisError::NoEntry)?;
-    let mut budget = Budget::new(
+    let budget = Budget::new(
         config.max_steps,
         config.deadline,
         config.max_pt_pairs,
         config.max_map_depth,
     );
-    // Summary engine: build and compose the GPG summaries bottom-up
-    // first (honoring the run's budget), and force capturing on — the
-    // program-wide context-pair memo replays captures at its hits.
-    let summary = if config.engine == Engine::Summary {
-        Some(Box::new(
-            crate::summary::SummaryCtx::build(ir, &mut budget)
-                .map_err(crate::summary::composition_error)?,
-        ))
-    } else {
-        None
-    };
-    let capture = capture || summary.is_some();
+    // Program scope publishes pairs of recursion-free functions, and
+    // a hit replays the pair's capture, so it always captures.
+    let program_memo = (config.memo == MemoScope::Program)
+        .then(|| crate::callgraph::CallGraph::build(ir).recursion_free());
+    let capture = capture || program_memo.is_some();
     let ig = InvocationGraph::build(ir, entry, config.max_ig_nodes)
         .map_err(|o| o.into_error(ir, None))?;
     let (locs, seeds) = match warm {
@@ -626,7 +611,7 @@ fn analyze_impl<'p>(
         seed_hits: 0,
         prune_masks: BTreeMap::new(),
         prune,
-        summary,
+        program_memo,
         leaf_cache: FxHashMap::default(),
         global_leaves: Vec::new(),
     };
@@ -665,20 +650,6 @@ fn analyze_impl<'p>(
     let root = a.ig.root();
     let out = a.analyze_node(root, init)?;
     let exit_set = out.unwrap_or_default();
-    if let Some(ctx) = a.summary.take() {
-        let mut ctx = *ctx;
-        // Fold points-to-resolved function-pointer targets into the
-        // summaries (the paper's re-composition step for indirect
-        // calls), then report one `summary` event per function in
-        // composition order.
-        ctx.recompose(&mut a.budget)
-            .map_err(crate::summary::composition_error)?;
-        if a.tracer.enabled() {
-            for ev in ctx.events(ir) {
-                a.tracer.emit(|| ev.clone());
-            }
-        }
-    }
     if a.tracer.enabled() {
         let s = a.ig.stats();
         let (steps, exit_pairs, warnings) = (a.budget.steps(), exit_set.len(), a.warnings.len());
@@ -736,9 +707,9 @@ pub(crate) struct Analyzer<'p> {
     pub(crate) prune_masks: BTreeMap<pta_cfront::ast::FuncId, Option<crate::dataflow::PruneMask>>,
     /// Pruning counters for this run.
     pub(crate) prune: PruneStats,
-    /// Summary-engine state ([`Engine::Summary`] runs only): the GPG
-    /// table, the memoizable-function set, and instantiation counters.
-    pub(crate) summary: Option<Box<crate::summary::SummaryCtx>>,
+    /// Program-scope memo ([`MemoScope::Program`] runs only): the
+    /// functions whose finished context pairs are published to `seeds`.
+    pub(crate) program_memo: Option<BTreeSet<FuncId>>,
     /// [`Analyzer::ptr_leaves`] of every location asked so far. Row
     /// types do not change during a run, so neither do the leaves.
     pub(crate) leaf_cache: FxHashMap<LocId, Rc<[LocId]>>,

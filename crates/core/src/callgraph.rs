@@ -1,6 +1,6 @@
 //! The conservative whole-program call graph, shared by the
-//! demand-driven slicer ([`crate::demand`]) and the bottom-up summary
-//! engine ([`crate::summary`]).
+//! demand-driven slicer ([`crate::demand`]) and the program-scope memo
+//! ([`crate::MemoScope::Program`]).
 //!
 //! Edges follow the *conservative* resolution rule both consumers need
 //! before any points-to facts exist: a direct call to a defined
@@ -12,9 +12,8 @@
 //!
 //! On top of the edge relation the graph carries its Tarjan strongly
 //! connected components in **reverse topological order** (callees
-//! before callers), which is exactly the bottom-up composition order
-//! the summary engine consumes, plus per-function recursion facts the
-//! engines use to decide what is safe to memoize or summarize.
+//! before callers), plus per-function recursion facts that decide which
+//! functions' context pairs are safe to reuse program-wide.
 
 use crate::baseline::address_taken_functions;
 use pta_cfront::ast::FuncId;
@@ -98,7 +97,6 @@ pub struct CallGraph {
     pub preds: BTreeMap<FuncId, Vec<FuncId>>,
     /// Strongly connected components in reverse topological order:
     /// every function a component calls lives in an earlier component.
-    /// This is the summary engine's bottom-up composition order.
     pub sccs: Vec<Vec<FuncId>>,
     /// Function → index into `sccs`.
     comp_of: BTreeMap<FuncId, usize>,

@@ -171,8 +171,7 @@ pub fn containing_function(ir: &IrProgram, stmt: StmtId) -> Option<FuncId> {
 /// Plans the slice for a set of query roots (see the module docs for
 /// the algorithm). `budget_fraction` caps `|slice| / |reachable|`.
 /// The conservative call graph comes from the shared
-/// [`crate::callgraph`] module (the summary engine composes over the
-/// same graph).
+/// [`crate::callgraph`] module.
 pub fn plan(ir: &IrProgram, roots: &[QueryRoot], budget_fraction: f64) -> DemandPlan {
     if roots.is_empty() {
         return DemandPlan::Fallback(FallbackReason::WholeProgram);

@@ -5,8 +5,11 @@
 //! into the callee's name space, analyse the body (memoized on the
 //! invocation-graph node), and unmap the output back to the call site.
 //! Information induced by one call site is never returned to another.
+//! Under [`crate::MemoScope::Program`] a finished context pair is also
+//! replayed at other call sites with the same mapped input; the unmap
+//! still runs per site.
 
-use crate::analysis::{AnalysisError, Analyzer};
+use crate::analysis::{AnalysisError, Analyzer, WarmPair};
 use crate::invocation_graph::{IgKind, IgNodeId};
 use crate::points_to_set::{flow_subset, merge_flow, Def, Flow, PtSet};
 use crate::trace::TraceEvent;
@@ -79,8 +82,10 @@ impl<'p> Analyzer<'p> {
             }
         }
         let mut mapping = self.map_process(caller, node, callee, args, &input)?;
-        self.ig.node_mut(child).map_info = mapping.sym_reps.clone();
         let out = self.analyze_node(child, std::mem::take(&mut mapping.callee_input))?;
+        // Set after the body: a memo hit may graft a fragment whose root
+        // was recorded at another call site, with that site's map info.
+        self.ig.node_mut(child).map_info = mapping.sym_reps.clone();
         match out {
             None => Ok(None), // ⊥: pending recursive input, or the callee never returns
             Some(callee_out) => {
@@ -150,12 +155,6 @@ impl<'p> Analyzer<'p> {
             self.ig.node_mut(rec).pending.push(func_input);
             return Ok(None); // ⊥
         }
-        // Summary engine: every evaluation of a body node is one
-        // summary instantiation (context applied at a call site).
-        if self.summary.is_some() {
-            let f = self.ig.node(node).func;
-            self.summary_count_call(f);
-        }
         // Ordinary or Recursive node: memo check.
         {
             let n = self.ig.node(node);
@@ -184,8 +183,8 @@ impl<'p> Analyzer<'p> {
             // graft so the hit works by reference: a context pair can
             // carry a large fragment and capture, and deep-cloning them
             // per hit would spend a significant slice of what the hit
-            // saves (the summary engine serves every repeated context
-            // through this path).
+            // saves (program scope serves every repeated context through
+            // this path).
             let seeds = std::mem::take(&mut self.seeds);
             let pair = seeds.find(func, &func_input).expect("checked above");
             if self.tracer.enabled() {
@@ -231,9 +230,6 @@ impl<'p> Analyzer<'p> {
             self.cap_replay(&pair.capture);
             let out = pair.output.clone();
             self.seed_hits += 1;
-            if self.summary.is_some() {
-                self.summary_count_hit(func);
-            }
             self.seeds = seeds;
             return Ok(out);
         }
@@ -307,12 +303,7 @@ impl<'p> Analyzer<'p> {
                 n.stored_output = out.clone();
                 n.memo_valid = true;
                 self.cap_pop(node);
-                // Summary engine: publish this context pair to the
-                // program-wide memo so any other call site producing
-                // the same input replays it (see `crate::summary`).
-                if self.summary.is_some() {
-                    self.summary_seed(node, func, &out);
-                }
+                self.publish_pair(node, func, &out);
                 self.emit_ig_exit(node, &out, rounds);
                 return Ok(out);
             }
@@ -329,6 +320,45 @@ impl<'p> Analyzer<'p> {
             }
             self.ig.node_mut(node).stored_output = merge_flow(stored, out);
         }
+    }
+
+    /// Program scope: publishes a just-completed context pair of `func`
+    /// to the program-wide memo, so any other call site producing the
+    /// same input replays it. Only functions whose conservative call
+    /// closure is recursion-free qualify (anything touching recursion
+    /// has provisional, node-local outputs), and only with a complete
+    /// capture. The key is the node's *stored* input, the context the
+    /// final fixpoint round ran with.
+    fn publish_pair(&mut self, node: IgNodeId, func: FuncId, out: &Flow) {
+        if !self
+            .program_memo
+            .as_ref()
+            .is_some_and(|fns| fns.contains(&func))
+        {
+            return;
+        }
+        let Some(input) = self.ig.node(node).stored_input.clone() else {
+            return;
+        };
+        if self.seeds.find(func, &input).is_some() {
+            return;
+        }
+        let Some(capture) = self.node_caps.get(&node.0).filter(|c| c.complete) else {
+            return;
+        };
+        let capture = std::sync::Arc::clone(capture);
+        let Some(fragment) = self.ig.extract_fragment(node) else {
+            return;
+        };
+        self.seeds.insert(
+            func,
+            WarmPair {
+                input,
+                output: out.clone(),
+                capture,
+                fragment,
+            },
+        );
     }
 
     fn emit_ig_exit(&mut self, node: IgNodeId, out: &Flow, rounds: u32) {
@@ -537,12 +567,6 @@ impl<'p> Analyzer<'p> {
                 self.ir.function(caller).name
             ));
             return Ok(Some(input));
-        }
-        // Summary engine: remember the points-to-resolved targets of
-        // this site so the post-run re-composition can fold their
-        // summaries into the hole.
-        if let Some(ctx) = self.summary.as_mut() {
-            ctx.note_resolved(cs, &fns);
         }
         let mut out: Flow = None;
         for f in fns {

@@ -39,7 +39,6 @@ pub mod dataflow;
 pub mod demand;
 pub mod dense;
 pub mod fingerprint;
-pub mod gpg;
 pub mod invocation_graph;
 pub mod location;
 pub mod lvalue;
@@ -48,7 +47,6 @@ pub mod query;
 pub mod resilient;
 pub mod shared;
 pub mod stats;
-pub mod summary;
 pub mod trace;
 
 mod interproc;
@@ -58,8 +56,8 @@ mod unmap;
 
 pub use analysis::{
     analyze, analyze_recorded, analyze_seeded, analyze_traced, analyze_with, AnalysisConfig,
-    AnalysisError, AnalysisResult, Capture, Engine, EngineRun, EscapeEvent, EscapeVia, PruneStats,
-    WarmPair, WarmSeeds, WarmStart,
+    AnalysisError, AnalysisResult, Capture, EngineRun, EscapeEvent, EscapeVia, MemoScope,
+    PruneStats, WarmPair, WarmSeeds, WarmStart,
 };
 pub use budget::{Budget, BudgetKind, TripPoint};
 pub use callgraph::{closure, cons_calls, CallGraph, ConsCall};
@@ -72,7 +70,6 @@ pub use demand::{
     FallbackReason, QueryRoot, DEFAULT_BUDGET_FRACTION,
 };
 pub use fingerprint::SCHEMA_VERSION;
-pub use gpg::{Gpg, GpgBase, GpgEdge, GpgTable};
 pub use invocation_graph::{
     FragmentNode, IgFragment, IgKind, IgNode, IgNodeId, IgStats, InvocationGraph, MapInfo,
 };
@@ -81,9 +78,6 @@ pub use points_to_set::{Def, Flow, PtSet};
 pub use query::FactQuery;
 pub use resilient::{analyze_resilient, analyze_resilient_traced, Fidelity, ResilientOutcome};
 pub use shared::Shared;
-pub use summary::{
-    analyze_summary, analyze_summary_traced, named_facts, sound_superset, SummaryStats,
-};
 pub use trace::{
     render_jsonl, ChromeTraceSink, EventSpec, FuncMetrics, JsonlSink, ServeEvent, TeeSink,
     TraceEvent, TraceMetrics, TraceSink, EVENT_SPECS, SERVE_EVENT_SPECS,

@@ -37,11 +37,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub enum Fidelity {
     /// The paper's full context-sensitive analysis completed.
     ContextSensitive,
-    /// The bottom-up summary engine completed (same answers as the
-    /// context-sensitive rung — see [`crate::summary`] — reached via
-    /// pre-composed procedure summaries; selected with
-    /// [`crate::analysis::Engine::Summary`]).
-    Summary,
     /// Fell back to the context-insensitive flow-sensitive baseline.
     ContextInsensitive,
     /// Fell back to the Andersen-style flow-insensitive baseline.
@@ -55,7 +50,6 @@ impl Fidelity {
     pub fn tag(self) -> &'static str {
         match self {
             Fidelity::ContextSensitive => "context-sensitive",
-            Fidelity::Summary => "summary",
             Fidelity::ContextInsensitive => "context-insensitive",
             Fidelity::Andersen => "andersen",
             Fidelity::Steensgaard => "steensgaard",
@@ -63,10 +57,8 @@ impl Fidelity {
     }
 
     /// True when this is a full-precision analysis (no degradation).
-    /// Both interprocedural engines qualify: the summary engine's
-    /// answers coincide with the invocation-graph engine's.
     pub fn is_full(self) -> bool {
-        matches!(self, Fidelity::ContextSensitive | Fidelity::Summary)
+        self == Fidelity::ContextSensitive
     }
 }
 
@@ -149,16 +141,8 @@ fn resilient_impl(
 ) -> Result<ResilientOutcome, AnalysisError> {
     let mut degradations: Vec<(Fidelity, AnalysisError)> = Vec::new();
 
-    // The top rung is whichever full-precision engine the config
-    // selects (the engine choice rides inside `config`, so
-    // `run_full` and `analyze_traced` both honor it); the fallback
-    // rungs below it are engine-independent baselines.
-    let top = match config.engine {
-        crate::analysis::Engine::InvocationGraph => Fidelity::ContextSensitive,
-        crate::analysis::Engine::Summary => Fidelity::Summary,
-    };
     let rungs: [(Fidelity, RunFn); 4] = [
-        (top, run_full),
+        (Fidelity::ContextSensitive, run_full),
         (Fidelity::ContextInsensitive, run_insensitive),
         (Fidelity::Andersen, run_andersen),
         (Fidelity::Steensgaard, run_steensgaard),
@@ -342,29 +326,25 @@ mod tests {
     }
 
     #[test]
-    fn summary_engine_tops_the_ladder_when_selected() {
+    fn program_scope_keeps_the_context_sensitive_rung() {
         let ir = pta_simple::compile(PROG).unwrap();
         let config = AnalysisConfig {
-            engine: crate::analysis::Engine::Summary,
+            memo: crate::analysis::MemoScope::Program,
             ..AnalysisConfig::default()
         };
-        let out = analyze_resilient(&ir, config).unwrap();
-        assert_eq!(out.fidelity, Fidelity::Summary);
-        assert!(out.fidelity.is_full());
+        let out = analyze_resilient(&ir, config.clone()).unwrap();
+        assert_eq!(out.fidelity, Fidelity::ContextSensitive);
         assert!(out.degradations.is_empty());
-    }
-
-    #[test]
-    fn summary_engine_degrades_to_the_same_baselines() {
-        let ir = pta_simple::compile(PROG).unwrap();
-        let config = AnalysisConfig {
-            engine: crate::analysis::Engine::Summary,
-            max_steps: 1,
-            ..AnalysisConfig::default()
-        };
-        let out = analyze_resilient(&ir, config).unwrap();
+        let out = analyze_resilient(
+            &ir,
+            AnalysisConfig {
+                max_steps: 1,
+                ..config
+            },
+        )
+        .unwrap();
         assert_eq!(out.fidelity, Fidelity::ContextInsensitive);
-        assert_eq!(out.degradations[0].0, Fidelity::Summary);
+        assert_eq!(out.degradations[0].0, Fidelity::ContextSensitive);
     }
 
     #[test]

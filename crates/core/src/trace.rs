@@ -214,26 +214,6 @@ pub enum TraceEvent {
         /// The budget error that pushed the ladder down.
         reason: String,
     },
-    /// One function's summary-engine report (emitted once per defined
-    /// function, in bottom-up composition order, just before
-    /// `analysis_end`; [`crate::summary`] runs only).
-    Summary {
-        /// The summarized function.
-        func: String,
-        /// Position in the bottom-up composition order.
-        order: usize,
-        /// Size of the function's SCC in the conservative call graph
-        /// (> 1 means a recursive knot iterated to a fixed point).
-        scc_size: usize,
-        /// GPG edges in the composed summary.
-        edges: usize,
-        /// Indirect call sites still unresolved after re-composition.
-        holes: usize,
-        /// Calling contexts instantiated during the run.
-        instantiations: u64,
-        /// Contexts served from the program-wide context-pair memo.
-        memo_hits: u64,
-    },
 }
 
 /// Field lists for one event kind — the machine-readable half of the
@@ -322,18 +302,6 @@ pub const EVENT_SPECS: &[EventSpec] = &[
         kind: "rung",
         fields: &["from", "to", "reason"],
     },
-    EventSpec {
-        kind: "summary",
-        fields: &[
-            "func",
-            "order",
-            "scc_size",
-            "edges",
-            "holes",
-            "instantiations",
-            "memo_hits",
-        ],
-    },
 ];
 
 impl TraceEvent {
@@ -354,7 +322,6 @@ impl TraceEvent {
             TraceEvent::Dataflow { .. } => "dataflow",
             TraceEvent::Demand { .. } => "demand",
             TraceEvent::Rung { .. } => "rung",
-            TraceEvent::Summary { .. } => "summary",
         }
     }
 }
@@ -709,23 +676,6 @@ pub fn render_jsonl(ts_us: u64, ev: &TraceEvent, scrub: bool) -> String {
                 json_escape(reason)
             );
         }
-        TraceEvent::Summary {
-            func,
-            order,
-            scc_size,
-            edges,
-            holes,
-            instantiations,
-            memo_hits,
-        } => {
-            let _ = write!(
-                s,
-                ",\"func\":\"{}\",\"order\":{order},\"scc_size\":{scc_size},\
-                 \"edges\":{edges},\"holes\":{holes},\"instantiations\":{instantiations},\
-                 \"memo_hits\":{memo_hits}",
-                json_escape(func)
-            );
-        }
     }
     s.push('}');
     s
@@ -980,25 +930,6 @@ impl TraceSink for ChromeTraceSink {
                 None,
                 &format!("\"reason\":\"{}\"", json_escape(reason)),
             ),
-            TraceEvent::Summary {
-                func,
-                order,
-                scc_size,
-                edges,
-                holes,
-                instantiations,
-                memo_hits,
-            } => self.push(
-                'i',
-                &format!("summary:{func}"),
-                ts_us,
-                None,
-                &format!(
-                    "\"order\":{order},\"scc_size\":{scc_size},\"edges\":{edges},\
-                     \"holes\":{holes},\"instantiations\":{instantiations},\
-                     \"memo_hits\":{memo_hits}"
-                ),
-            ),
         }
     }
 }
@@ -1095,16 +1026,6 @@ pub struct TraceMetrics {
     pub completed: bool,
     /// Ladder transitions, in order: `(from, to, reason)`.
     pub rungs: Vec<(String, String, String)>,
-    /// Functions reported by the summary engine (`summary` events).
-    pub summary_funcs: u64,
-    /// GPG edges summed over those reports.
-    pub summary_edges: u64,
-    /// Unresolved indirect-call holes summed over those reports.
-    pub summary_holes: u64,
-    /// Calling contexts instantiated, summed over those reports.
-    pub summary_instantiations: u64,
-    /// Contexts served from the summary memo, summed over the reports.
-    pub summary_memo_hits: u64,
     /// Total microseconds in statement transfers (non-deterministic).
     pub stmt_us: u64,
     /// Total microseconds in map processes (non-deterministic).
@@ -1317,19 +1238,6 @@ impl TraceSink for TraceMetrics {
                 self.rungs
                     .push(((*from).to_owned(), (*to).to_owned(), reason.clone()));
             }
-            TraceEvent::Summary {
-                edges,
-                holes,
-                instantiations,
-                memo_hits,
-                ..
-            } => {
-                self.summary_funcs += 1;
-                self.summary_edges += *edges as u64;
-                self.summary_holes += *holes as u64;
-                self.summary_instantiations += instantiations;
-                self.summary_memo_hits += memo_hits;
-            }
         }
     }
 }
@@ -1494,15 +1402,6 @@ mod tests {
                 from: "context-sensitive",
                 to: "context-insensitive",
                 reason: "over budget".into(),
-            },
-            TraceEvent::Summary {
-                func: "f".into(),
-                order: 0,
-                scc_size: 1,
-                edges: 2,
-                holes: 0,
-                instantiations: 3,
-                memo_hits: 1,
             },
         ];
         assert_eq!(reps.len(), EVENT_SPECS.len());

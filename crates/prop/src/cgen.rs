@@ -16,10 +16,10 @@
 //!   (`max_ig_nodes`, `max_steps`);
 //! - **call fan-out** ([`call_fanout`]) — many distinct call sites
 //!   handing one worker function the *same* calling context; the
-//!   invocation-graph engine re-analyses the worker at every site while
-//!   the summary engine replays it from its context memo, so this
-//!   family is the E19 scaling axis where summaries overtake
-//!   per-invocation re-analysis;
+//!   node-scope memo re-analyses the worker at every site while the
+//!   program-scope memo replays it, so this family is the E19 scaling
+//!   axis where program-wide reuse overtakes per-invocation
+//!   re-analysis;
 //! - **random mix** ([`random_mix`]) — a seeded combination with
 //!   aliasing noise, for coverage beyond the crafted families.
 //!
@@ -114,8 +114,8 @@ pub fn wide_indirect(n: usize) -> String {
 /// heavy — a 40-step alias shuffle re-run inside a loop through a rank
 /// of pointer-to-pointer cursors, so the intra-procedural fixpoint
 /// takes several rounds — and re-analysing it per call site costs far
-/// more than replaying a stored context pair: the per-invocation
-/// engine pays that cost `n` times, the summary engine once. `n ≥ 1`.
+/// more than replaying a stored context pair: node scope pays that cost
+/// `n` times, program scope once. `n ≥ 1`.
 pub fn call_fanout(n: usize) -> String {
     let n = n.max(1);
     let mut s = String::new();

@@ -14,7 +14,7 @@
 //! replay it exactly.
 
 use crate::{case_seed, cgen, Rng};
-use pta_core::{AnalysisConfig, Fidelity};
+use pta_core::{AnalysisConfig, Fidelity, MemoScope};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -74,10 +74,10 @@ pub struct CaseReport {
     /// Whether the case was additionally answered in demand mode and
     /// checked against the exhaustive facts (every third case).
     pub demand: bool,
-    /// Whether the case was routed through the summary engine and its
-    /// answers gated as a sound superset of the invocation-graph facts
-    /// (every third case, offset from the demand probes).
-    pub summary: bool,
+    /// Whether the case ran with the program-scope memo and was checked
+    /// id for id against a node-scope run (every third case, offset
+    /// from the demand probes).
+    pub program_memo: bool,
     /// The outcome.
     pub outcome: CaseOutcome,
     /// Wall-clock time for the case.
@@ -151,7 +151,7 @@ impl StressSummary {
                 r.family,
                 if r.tight { ", tight" } else { "" },
                 if r.demand { ", demand" } else { "" },
-                if r.summary { ", summary" } else { "" },
+                if r.program_memo { ", memo=program" } else { "" },
                 r.seed,
             );
         }
@@ -182,13 +182,13 @@ impl StressSummary {
             };
             let _ = write!(
                 out,
-                "{{\"case\":{},\"seed\":\"{:#x}\",\"family\":\"{}\",\"tight\":{},\"demand\":{},\"summary\":{},\"status\":\"{status}\",\"detail\":\"{}\",\"ms\":{}}}",
+                "{{\"case\":{},\"seed\":\"{:#x}\",\"family\":\"{}\",\"tight\":{},\"demand\":{},\"program_memo\":{},\"status\":\"{status}\",\"detail\":\"{}\",\"ms\":{}}}",
                 r.case,
                 r.seed,
                 r.family,
                 r.tight,
                 r.demand,
-                r.summary,
+                r.program_memo,
                 json_escape(&detail),
                 r.elapsed.as_millis(),
             );
@@ -308,34 +308,28 @@ pub fn demand_divergence(source: &str, deadline_ms: u64) -> Option<String> {
     None
 }
 
-/// Summary-engine soundness probe: run the invocation-graph engine and
-/// the summary engine on the same program and require the summary
-/// answers to be a sound superset of the reference facts — pointwise,
-/// at every program point and at exit (in practice the two engines are
-/// byte-identical; the gate only demands soundness so a budget-induced
-/// wall-clock race can never fail it spuriously). Budget trips on
-/// either side skip the probe. Returns the violation, `None` when the
-/// case is sound (or unprobeable).
-pub fn summary_divergence(source: &str, deadline_ms: u64) -> Option<String> {
+/// Memo-scope probe: analyse the program under node scope and under
+/// program scope and require the two runs to agree id for id
+/// ([`pta_store::run_divergence`]). Budget trips on either side skip
+/// the probe. Returns the first difference, `None` when the runs agree
+/// (or the case is unprobeable).
+pub fn memo_divergence(source: &str, deadline_ms: u64) -> Option<String> {
     let ir = pta_simple::compile(source).ok()?; // invalid input: nothing to probe
     let config = AnalysisConfig {
         deadline: Some(Duration::from_millis(deadline_ms)),
         ..AnalysisConfig::default()
     };
-    let reference = pta_core::analyze_with(&ir, config.clone()).ok()?;
-    let candidate = match pta_core::analyze_summary(&ir, config) {
+    let node = pta_core::analyze_recorded(&ir, config.clone()).ok()?;
+    let program = AnalysisConfig {
+        memo: MemoScope::Program,
+        ..config.clone()
+    };
+    let program = match pta_core::analyze_recorded(&ir, program) {
         Ok(r) => r,
         Err(e) if e.budget_kind().is_some() => return None,
-        Err(e) => return Some(format!("summary engine failed: {e}")),
+        Err(e) => return Some(format!("program-scope run failed: {e}")),
     };
-    if !pta_core::sound_superset(&reference, &candidate) {
-        return Some(
-            "summary-engine facts are not a sound superset of the \
-             invocation-graph facts"
-                .to_owned(),
-        );
-    }
-    None
+    pta_store::run_divergence(&ir, &config, &node, &program)
 }
 
 fn is_budget_error(e: &pta_core::PtaError) -> bool {
@@ -370,10 +364,9 @@ pub fn run_stress(cfg: &StressConfig) -> StressSummary {
         // Every other case gets a tight step budget to force the
         // ladder; the rest run with only the deadline as a backstop.
         let tight = case % 2 == 1;
-        // Every third case (offset from the demand probes) routes its
-        // resilient run through the summary engine and gates the
-        // answers as a sound superset of the invocation-graph facts.
-        let summary = case % 3 == 1;
+        // Every third case (offset from the demand probes) runs with the
+        // program-scope memo and must match node scope id for id.
+        let program_memo = case % 3 == 1;
         let config = AnalysisConfig {
             deadline: Some(Duration::from_millis(cfg.deadline_ms)),
             max_steps: if tight { cfg.tight_steps } else { u64::MAX },
@@ -381,10 +374,10 @@ pub fn run_stress(cfg: &StressConfig) -> StressSummary {
             // stress corpus exercises the pruned engine path (and its
             // interaction with the ladder) end to end.
             prune_liveness: case % 3 == 0,
-            engine: if summary {
-                pta_core::Engine::Summary
+            memo: if program_memo {
+                MemoScope::Program
             } else {
-                pta_core::Engine::InvocationGraph
+                MemoScope::Node
             },
             ..AnalysisConfig::default()
         };
@@ -400,9 +393,9 @@ pub fn run_stress(cfg: &StressConfig) -> StressSummary {
                 outcome = CaseOutcome::Failed(format!("demand mode: {msg}"));
             }
         }
-        if summary && matches!(outcome, CaseOutcome::Analysed(_)) {
-            if let Some(msg) = summary_divergence(&source, cfg.deadline_ms) {
-                outcome = CaseOutcome::Failed(format!("summary engine: {msg}"));
+        if program_memo && matches!(outcome, CaseOutcome::Analysed(_)) {
+            if let Some(msg) = memo_divergence(&source, cfg.deadline_ms) {
+                outcome = CaseOutcome::Failed(format!("program memo: {msg}"));
             }
         }
         reports.push(CaseReport {
@@ -411,7 +404,7 @@ pub fn run_stress(cfg: &StressConfig) -> StressSummary {
             family,
             tight,
             demand,
-            summary,
+            program_memo,
             outcome,
             elapsed: t0.elapsed(),
         });
@@ -440,17 +433,17 @@ mod tests {
         assert!(summary.full() > 0, "{}", summary.render());
         assert!(summary.degraded() > 0, "{}", summary.render());
         // Every third case ran the demand-equivalence probe, and every
-        // third (offset) went through the summary engine.
+        // third (offset) ran with the program-scope memo.
         assert_eq!(summary.reports.iter().filter(|r| r.demand).count(), 5);
-        assert_eq!(summary.reports.iter().filter(|r| r.summary).count(), 5);
+        assert_eq!(summary.reports.iter().filter(|r| r.program_memo).count(), 5);
     }
 
     #[test]
-    fn summary_probe_finds_no_divergence_on_generated_programs() {
+    fn memo_probe_finds_no_divergence_on_generated_programs() {
         for family in ["call-fanout", "fnptr-knot", "wide-indirect"] {
             let mut g = Rng::new(0x5eed);
             let source = cgen::generate(family, &mut g);
-            assert_eq!(summary_divergence(&source, 5_000), None, "{family}");
+            assert_eq!(memo_divergence(&source, 5_000), None, "{family}");
         }
     }
 

@@ -10,7 +10,7 @@
 //!    kind-specific fields in wire order.
 
 use pta_core::trace::{JsonlSink, TraceMetrics, EVENT_SPECS};
-use pta_core::{analyze, analyze_traced, AnalysisConfig, Fidelity};
+use pta_core::{analyze, analyze_traced, AnalysisConfig, Fidelity, MemoScope};
 use pta_lint::{lint_ir, LintOptions};
 use pta_prop::{case_seed, cgen, check_seeded, Rng};
 
@@ -103,16 +103,22 @@ fn scrubbed_traces_are_deterministic_and_schema_valid() {
     });
 }
 
+fn program_memo() -> AnalysisConfig {
+    AnalysisConfig {
+        memo: MemoScope::Program,
+        ..AnalysisConfig::default()
+    }
+}
+
 #[test]
-fn summary_engine_tracing_never_changes_results() {
-    // The 15th event kind (`summary`) is emitted by the summary engine
-    // only; observing it must be as side-effect free as the rest of
-    // the trace layer. Compare an untraced summary run against a
-    // traced one (which also exercises the per-function summary
-    // events) on every generated family.
+fn program_memo_tracing_never_changes_results() {
+    // Program scope serves repeated contexts through the warm-pair
+    // replay path; observing it must be as side-effect free as the
+    // node-scope engine. Compare an untraced run against a traced one
+    // on every generated family.
     let mut case = 0u32;
     check_seeded(
-        "summary-trace-transparency",
+        "program-memo-trace-transparency",
         pta_prop::DEFAULT_SEED,
         15,
         &mut |g| {
@@ -121,34 +127,32 @@ fn summary_engine_tracing_never_changes_results() {
             let Ok(ir) = pta_simple::compile(&src) else {
                 return;
             };
-            let plain = pta_core::analyze_summary(&ir, AnalysisConfig::default());
+            let plain = pta_core::analyze_with(&ir, program_memo());
             let mut metrics = TraceMetrics::new();
-            let traced =
-                pta_core::analyze_summary_traced(&ir, AnalysisConfig::default(), &mut metrics);
+            let traced = analyze_traced(&ir, program_memo(), &mut metrics);
             match (plain, traced) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(
                         format!("{:?}", a.per_stmt),
                         format!("{:?}", b.per_stmt),
-                        "per-statement facts diverged under summary tracing:\n{src}"
+                        "per-statement facts diverged under program-memo tracing:\n{src}"
                     );
                     assert_eq!(
                         format!("{:?}", a.exit_set),
                         format!("{:?}", b.exit_set),
-                        "exit set diverged under summary tracing:\n{src}"
+                        "exit set diverged under program-memo tracing:\n{src}"
                     );
                     assert_eq!(a.warnings, b.warnings, "warnings diverged:\n{src}");
-                    let _ = metrics.summary_funcs;
                 }
                 (Err(ea), Err(eb)) => {
                     assert_eq!(
                         ea.to_string(),
                         eb.to_string(),
-                        "failure mode diverged under summary tracing:\n{src}"
+                        "failure mode diverged under program-memo tracing:\n{src}"
                     );
                 }
                 (a, b) => panic!(
-                    "summary tracing flipped success/failure: plain={:?} traced={:?}\n{src}",
+                    "program-memo tracing flipped success/failure: plain={:?} traced={:?}\n{src}",
                     a.map(|_| ()),
                     b.map(|_| ()),
                 ),
@@ -158,25 +162,27 @@ fn summary_engine_tracing_never_changes_results() {
 }
 
 #[test]
-fn summary_runs_emit_the_summary_event_kind() {
-    // At least one generated program must actually produce `summary`
-    // events, so the transparency property above is not vacuous.
-    let mut saw_summary = false;
+fn program_memo_replays_pairs_on_the_corpus() {
+    // At least one generated program must be served more memo hits
+    // under program scope than under node scope, so the transparency
+    // property above covers the replay path and is not vacuous.
+    let mut replayed = false;
     for case in 0..20u32 {
         let mut g = Rng::new(case_seed(pta_prop::DEFAULT_SEED, case));
         let src = source_for(&mut g, case);
         let Ok(ir) = pta_simple::compile(&src) else {
             continue;
         };
-        let mut m = TraceMetrics::new();
-        if pta_core::analyze_summary_traced(&ir, AnalysisConfig::default(), &mut m).is_ok()
-            && m.summary_funcs > 0
+        let (mut node, mut program) = (TraceMetrics::new(), TraceMetrics::new());
+        if analyze_traced(&ir, AnalysisConfig::default(), &mut node).is_ok()
+            && analyze_traced(&ir, program_memo(), &mut program).is_ok()
+            && program.memo_hits > node.memo_hits
         {
-            saw_summary = true;
+            replayed = true;
             break;
         }
     }
-    assert!(saw_summary, "corpus never produced a `summary` trace event");
+    assert!(replayed, "corpus never replayed a program-scope pair");
 }
 
 #[test]

@@ -766,7 +766,6 @@ fn dec_severity(tok: &str) -> Result<Severity, String> {
 fn dec_fidelity(tok: &str) -> Result<Fidelity, String> {
     for f in [
         Fidelity::ContextSensitive,
-        Fidelity::Summary,
         Fidelity::ContextInsensitive,
         Fidelity::Andersen,
         Fidelity::Steensgaard,

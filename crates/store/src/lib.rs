@@ -21,6 +21,8 @@
 //!   warm (incrementally re-analysed) run can be compared byte-for-byte
 //!   against a cold run of the same program, which is the correctness
 //!   contract the tier-1 tests pin down.
+//! - [`run_divergence`] compares two runs of one program at the *id*
+//!   level, snapshot text included; the memo-scope gates use it.
 //! - [`serve`] answers `points-to` / `aliases?` / `call-targets` /
 //!   `lint` queries over a loaded snapshot as a JSONL request/response
 //!   protocol (the `pta serve` subcommand); [`tenant`] puts many
@@ -690,6 +692,65 @@ pub fn canonical_facts(ir: &IrProgram, result: &AnalysisResult) -> String {
         s.nodes, s.recursive, s.approximate, s.functions
     );
     out
+}
+
+/// The first id-level difference between two runs of one program under
+/// one configuration, or `None` when they agree exactly. Checks the
+/// location rows, per-statement sets, exit set, warnings and escapes in
+/// turn, then the serialized snapshot text, which also covers the
+/// invocation graph with its map info and the captured side outputs.
+/// The memo-scope gates hold [`pta_core::MemoScope::Program`] to this
+/// against [`pta_core::MemoScope::Node`].
+pub fn run_divergence(
+    ir: &IrProgram,
+    config: &AnalysisConfig,
+    a: &EngineRun,
+    b: &EngineRun,
+) -> Option<String> {
+    let (ra, rb) = (&a.result, &b.result);
+    if ra.locs.len() != rb.locs.len() {
+        return Some(format!(
+            "location count {} vs {}",
+            ra.locs.len(),
+            rb.locs.len()
+        ));
+    }
+    if let Some(id) = ra.locs.ids().find(|&id| ra.locs.get(id) != rb.locs.get(id)) {
+        return Some(format!(
+            "location {}: {} vs {}",
+            id.0,
+            ra.locs.name(id),
+            rb.locs.name(id)
+        ));
+    }
+    if ra.per_stmt != rb.per_stmt {
+        let stmt = ra
+            .per_stmt
+            .keys()
+            .chain(rb.per_stmt.keys())
+            .find(|s| ra.per_stmt.get(s) != rb.per_stmt.get(s));
+        return Some(format!("per-statement sets differ at {stmt:?}"));
+    }
+    if ra.exit_set != rb.exit_set {
+        return Some("exit sets differ".into());
+    }
+    if ra.warnings != rb.warnings {
+        return Some(format!("warnings {:?} vs {:?}", ra.warnings, rb.warnings));
+    }
+    if ra.escapes != rb.escapes {
+        return Some(format!("escapes {:?} vs {:?}", ra.escapes, rb.escapes));
+    }
+    let ta = serialize(&Snapshot::build(ir, config, a, &[]));
+    let tb = serialize(&Snapshot::build(ir, config, b, &[]));
+    if ta != tb {
+        let (la, lb) = ta
+            .lines()
+            .zip(tb.lines())
+            .find(|(x, y)| x != y)
+            .unwrap_or(("<end>", "<end>"));
+        return Some(format!("snapshot text differs: `{la}` vs `{lb}`"));
+    }
+    None
 }
 
 /// Inserts a semantically inert statement (`if (0) { }`) in front of

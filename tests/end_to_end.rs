@@ -341,89 +341,82 @@ fn demand_serving_is_byte_identical_on_every_benchmark() {
     assert!(sliced_total > 0, "no query was ever answered from a slice");
 }
 
-/// The summary engine's suite-wide guarantee (DESIGN.md §11): it
-/// completes on every benchmark, and its answers are a sound
-/// over-approximation (pointwise ⊇ on named facts, definiteness may
-/// only weaken D → P) of the invocation-graph engine's. On benchmarks
-/// whose conservative call graph is recursion-free and direct-call
-/// only, the answers must be identical, not merely a superset.
+/// Analyses `ir` under node and under program memo scope and returns
+/// the first id-level difference between the two runs (DESIGN.md §11).
+fn memo_scope_divergence(name: &str, ir: &pta::simple::IrProgram) -> Option<String> {
+    use pta::core::{AnalysisConfig, MemoScope};
+    let config = AnalysisConfig::default();
+    let node = pta::core::analyze_recorded(ir, config.clone())
+        .unwrap_or_else(|e| panic!("{name}: node-scope run failed: {e}"));
+    let program = pta::core::analyze_recorded(
+        ir,
+        AnalysisConfig {
+            memo: MemoScope::Program,
+            ..config.clone()
+        },
+    )
+    .unwrap_or_else(|e| panic!("{name}: program-scope run failed: {e}"));
+    pta_store::run_divergence(ir, &config, &node, &program)
+}
+
+/// Program scope only changes which memo a call consults, never an
+/// answer: on every benchmark and on every E19 fan-out tier, the
+/// location rows, per-statement sets, exit set, warnings, escapes and
+/// snapshot text equal node scope's, id for id.
 #[test]
-fn summary_engine_is_sound_on_every_benchmark() {
-    use pta::core::AnalysisConfig;
-    let mut completed = 0;
-    let mut identical_somewhere = false;
+fn program_memo_matches_node_memo_on_every_benchmark() {
+    let mut compared = 0;
     for b in benchsuite::SUITE {
         let Ok(ir) = pta::simple::compile(b.source) else {
             continue; // front-end rejections are covered by suite tests
         };
-        let ig = pta::core::analyze_with(&ir, AnalysisConfig::default())
-            .unwrap_or_else(|e| panic!("{}: invocation-graph engine failed: {e}", b.name));
-        let su = pta::core::analyze_summary(&ir, AnalysisConfig::default())
-            .unwrap_or_else(|e| panic!("{}: summary engine failed: {e}", b.name));
-        completed += 1;
-        assert!(
-            pta::core::sound_superset(&ig, &su),
-            "{}: summary answers are not a sound superset of IG answers",
-            b.name
-        );
-        let cg = pta::core::CallGraph::build(&ir);
-        let rec_free = cg.recursion_free();
-        let direct_only = cg.calls.values().flatten().all(|c| !c.indirect);
-        let all_rec_free = ir.defined_functions().all(|(f, _)| rec_free.contains(&f));
-        if direct_only && all_rec_free {
-            assert_eq!(
-                pta::core::named_facts(&ig),
-                pta::core::named_facts(&su),
-                "{}: recursion-free direct-call benchmark diverged across engines",
-                b.name
-            );
-            identical_somewhere = true;
+        if let Some(d) = memo_scope_divergence(b.name, &ir) {
+            panic!("{}: program scope diverged from node scope: {d}", b.name);
+        }
+        compared += 1;
+    }
+    assert_eq!(compared, benchsuite::SUITE.len(), "skipped benchmarks");
+    for &n in report::SUMMARY_SCALE_TIERS {
+        let ir = pta::simple::compile(&pta_prop::cgen::call_fanout(n)).expect("fan-out compiles");
+        if let Some(d) = memo_scope_divergence("call-fanout", &ir) {
+            panic!("call_fanout({n}): program scope diverged from node scope: {d}");
         }
     }
-    assert_eq!(
-        completed,
-        benchsuite::SUITE.len(),
-        "summary engine skipped benchmarks"
-    );
-    assert!(
-        identical_somewhere,
-        "no benchmark exercised the byte-equality half of the gate"
-    );
 }
 
 /// The E19 claim (EXPERIMENTS.md): as call fan-out grows, replaying a
-/// procedure summary overtakes re-analysing the callee at every site.
-/// At least one generated tier must show a wall-clock win with sound
-/// (here: identical) answers. Tiers with the widest measured margins
-/// are used so the gate stays robust on loaded CI machines.
+/// context pair program-wide overtakes re-analysing the callee at every
+/// site. At least one generated tier must show a wall-clock win with
+/// identical answers. Tiers with the widest measured margins are used
+/// so the gate stays robust on loaded CI machines.
 #[test]
-fn summary_engine_overtakes_reanalysis_on_call_fanout() {
+fn program_memo_overtakes_reanalysis_on_call_fanout() {
     let rows = report::summary_scale_study(&[16, 32, 64]).expect("scale study");
     assert_eq!(rows.len(), 3, "scale study dropped a tier");
     for r in &rows {
         assert!(
-            r.sound,
-            "{} sites: summary answers are not a sound superset",
+            r.identical,
+            "{} sites: program-scope answers differ from node scope",
             r.call_sites
         );
     }
     assert!(
         rows.iter().any(|r| r.speedup() > 1.0),
-        "summary engine never beat per-invocation re-analysis: {:?}",
+        "program scope never beat per-invocation re-analysis: {:?}",
         rows.iter()
             .map(|r| (r.call_sites, r.speedup()))
             .collect::<Vec<_>>()
     );
 }
 
-/// Checked-in recursion-shape goldens for the summary engine: a
+/// Checked-in recursion-shape goldens for the program-scope memo: a
 /// self-recursive walker, a mutually recursive pair, and a
 /// function-pointer ring the conservative call graph fuses into one
-/// SCC. Each must keep its expected call-graph shape, analyse under
-/// both engines, and satisfy the sound-superset contract.
+/// SCC. Each must keep its expected call-graph shape, and program scope
+/// (which must keep every recursive function out of its memo) must
+/// match node scope exactly.
 #[test]
-fn summary_recursion_goldens_hold_under_both_engines() {
-    use pta::core::AnalysisConfig;
+fn summary_recursion_goldens_hold_under_both_memo_scopes() {
     let goldens: &[(&str, &str, usize)] = &[
         (
             "summary_recursive",
@@ -449,13 +442,8 @@ fn summary_recursion_goldens_hold_under_both_engines() {
             largest, *knot,
             "{name}: expected a {knot}-member recursive component, call graph has {largest}"
         );
-        let ig = pta::core::analyze_with(&ir, AnalysisConfig::default())
-            .unwrap_or_else(|e| panic!("{name}: invocation-graph engine failed: {e}"));
-        let su = pta::core::analyze_summary(&ir, AnalysisConfig::default())
-            .unwrap_or_else(|e| panic!("{name}: summary engine failed: {e}"));
-        assert!(
-            pta::core::sound_superset(&ig, &su),
-            "{name}: summary answers are not a sound superset"
-        );
+        if let Some(d) = memo_scope_divergence(name, &ir) {
+            panic!("{name}: program scope diverged from node scope: {d}");
+        }
     }
 }

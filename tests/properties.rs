@@ -555,43 +555,36 @@ fn demand_rooted_answers_equal_exhaustive_on_generated_programs() {
 }
 
 // ---------------------------------------------------------------------
-// Summary engine: sound superset of the invocation-graph engine
+// Memo scope: program scope reproduces node scope id for id
 // ---------------------------------------------------------------------
 
 #[test]
-fn summary_answers_are_a_sound_superset_on_generated_programs() {
-    // The cross-engine contract (DESIGN.md §11) on generated
-    // pathology, across every family — including the recursive and
-    // unresolved-indirect-call shapes where the summary engine must
-    // take the per-invocation path: its name-level facts contain the
-    // invocation-graph engine's pointwise (definiteness may weaken
-    // D → P, never strengthen), and on programs whose conservative
-    // call graph is recursion-free and direct-call-only the facts are
-    // identical.
-    check("summary ⊇ ig", 24, |g| {
+fn program_memo_matches_node_memo_on_generated_programs() {
+    // The memo-scope contract (DESIGN.md §11) on generated pathology,
+    // across every family, including the recursive and
+    // unresolved-indirect-call shapes whose functions program scope
+    // must keep out of its memo: location rows, per-statement sets,
+    // exit set, warnings, escapes and snapshot text are identical.
+    check("program memo = node memo", 24, |g| {
         let family = *g.pick(pta_prop::cgen::FAMILIES);
         let source = pta_prop::cgen::generate(family, g);
         let Ok(ir) = pta::simple::compile(&source) else {
             return; // generator corner the frontend rejects: vacuous
         };
-        let Ok(ig) = pta::core::analyze_with(&ir, AnalysisConfig::default()) else {
+        let config = AnalysisConfig::default();
+        let Ok(node) = pta::core::analyze_recorded(&ir, config.clone()) else {
             return; // budget trips are the stress harness's domain
         };
-        let su = pta::core::analyze_summary(&ir, AnalysisConfig::default())
-            .unwrap_or_else(|e| panic!("summary engine failed ({family}): {e}\n{source}"));
-        assert!(
-            pta::core::sound_superset(&ig, &su),
-            "summary answers are not a sound superset ({family}) in:\n{source}"
-        );
-        let cg = pta::core::CallGraph::build(&ir);
-        let rec_free = cg.recursion_free();
-        let direct_only = cg.calls.values().flatten().all(|c| !c.indirect);
-        if direct_only && ir.defined_functions().all(|(f, _)| rec_free.contains(&f)) {
-            assert_eq!(
-                pta::core::named_facts(&ig),
-                pta::core::named_facts(&su),
-                "recursion-free direct-call program diverged ({family}) in:\n{source}"
-            );
+        let program = pta::core::analyze_recorded(
+            &ir,
+            AnalysisConfig {
+                memo: pta::core::MemoScope::Program,
+                ..config.clone()
+            },
+        )
+        .unwrap_or_else(|e| panic!("program-scope run failed ({family}): {e}\n{source}"));
+        if let Some(d) = pta_store::run_divergence(&ir, &config, &node, &program) {
+            panic!("program scope diverged ({family}): {d}\nin:\n{source}");
         }
     });
 }

@@ -185,6 +185,38 @@ fn version_config_and_skeleton_mismatches_fall_back_cold() {
     ));
 }
 
+/// A snapshot written while lint rows could carry the retired
+/// `summary` fidelity still has the current schema tag, so it must fail
+/// as a typed [`StoreError::Corrupt`], which every loader turns into a
+/// cold start.
+#[test]
+fn retired_summary_fidelity_rows_fail_as_corrupt() {
+    let (_, snap) = SUITE
+        .iter()
+        .map(|b| cold_snapshot(b.source))
+        .find(|(_, snap)| !snap.lint.is_empty())
+        .expect("some benchmark has lint findings");
+    let text = serialize(&snap);
+    let (head, payload) = text.split_once("\nchecksum ").expect("checksum line");
+    let payload = payload.split_once('\n').expect("payload").1;
+    let mut lines: Vec<String> = payload.lines().map(str::to_owned).collect();
+    let row = lines
+        .iter_mut()
+        .find(|l| l.starts_with("l "))
+        .expect("a lint row");
+    let mut toks: Vec<&str> = row.split(' ').collect();
+    assert_eq!(toks[3], "context-sensitive");
+    toks[3] = "summary";
+    *row = toks.join(" ");
+    let payload = lines.join("\n") + "\n";
+    let csum = pta_core::fingerprint::fnv1a(payload.as_bytes());
+    let text = format!("{head}\nchecksum {csum:016x}\n{payload}");
+    match parse(&text) {
+        Err(StoreError::Corrupt { msg, .. }) => assert!(msg.contains("summary"), "{msg}"),
+        other => panic!("expected a corrupt-snapshot error, got {other:?}"),
+    }
+}
+
 #[test]
 fn reload_supports_queries_without_reanalysis() {
     let b = SUITE[0];
