@@ -2,29 +2,20 @@
 //! paper. Usage:
 //!
 //! ```text
-//! report [SECTION] [--jobs N] [--timings] [--lint] [--profile]
-//!        [--json PATH] [--serve-json PATH] [--store-dir DIR]
+//! report [SECTION] [--jobs N] [--lint] [--profile] [--json PATH]
 //!        [--deadline MS] [--budget N] [--prune-liveness]
-//!        [--memo node|program] [--summary-json PATH]
+//!        [--memo node|program]
 //!
 //! SECTION: table2|table3|table4|table5|table6|livc|ablation|
-//!          heap-sites|summary|summary-scale|all        (default: all)
+//!          heap-sites|summary|all                      (default: all)
 //! --jobs N     worker threads (default: available parallelism; 1 = serial)
-//! --timings    append the per-benchmark timing table (suite sections only)
 //! --lint       append the per-benchmark diagnostics table (pta-lint)
 //! --profile    run with the trace-metrics layer attached and append
 //!              the per-benchmark self-profiling table (memo hit/miss,
 //!              invocation-graph activity, map volumes)
-//! --json PATH  write suite timings as JSON (the CI bench artifact);
-//!              entries embed per-benchmark diagnostic counts and the
-//!              deterministic trace-metrics counters
-//! --serve-json PATH  embed a `pta.load.v1` artifact (written by
-//!              `pta-load --json`) as a `"serve"` section of the JSON
-//!              artifact, and print its throughput/latency table
-//! --store-dir DIR  write one fact-store snapshot per benchmark to
-//!              DIR/<name>.ptas and time a warm (snapshot-seeded)
-//!              re-analysis next to the cold one; the timing table and
-//!              JSON artifact then carry cold/warm columns
+//! --json PATH  write the suite as JSON: per-benchmark fidelity,
+//!              diagnostic counts and the deterministic trace-metrics
+//!              counters
 //! --deadline MS wall-clock budget per benchmark analysis, in
 //!              milliseconds; exhaustion degrades to cheaper analyses
 //!              (rows are tagged with their fidelity)
@@ -33,25 +24,15 @@
 //!              propagation (liveness-pruned per-point tables; use-point
 //!              resolutions unchanged); the JSON artifact then carries a
 //!              per-benchmark `"prune"` sparsity section (E17)
-//! --demand     run the demand-driven first-answer study (E18): per
-//!              benchmark, pick the defined function with the smallest
-//!              backward slice, time a demand-driven analysis rooted
-//!              there against an exhaustive cold analysis, and print
-//!              the latency table; the JSON artifact then carries a
-//!              `"demand"` section (see docs/QUERIES.md)
 //! --memo node|program  memo scope for the suite runs: `node` (default)
 //!              is the paper's per-node memo, `program` also reuses a
 //!              context pair at every call site with the same input
 //!              (same answers; see DESIGN.md §11)
-//! --summary-json PATH  write the memo-scope artifact
-//!              (`BENCH_summary.json`): the E19 node-vs-program table on
-//!              the call-fanout generator plus the E11 ablation; the
-//!              `summary-scale` section prints the E19 table (timings,
-//!              so excluded from `all` like --timings)
 //! ```
 //!
-//! Tables 2–6 are byte-identical for every `--jobs` value; timings are
-//! kept out of them and shown only on request.
+//! Every section, table and JSON document is byte-identical for every
+//! `--jobs` value: the report prints counts only. Speed is measured by
+//! `pta-perf` (`perf/`), not here.
 //!
 //! Exit status: `0` on a clean run, `1` when any suite row failed or an
 //! analysis errored, `2` on a usage error.
@@ -68,14 +49,9 @@ const EXIT_ANALYSIS: i32 = 1;
 fn main() {
     let mut section: Option<String> = None;
     let mut jobs: Option<usize> = None;
-    let mut timings = false;
     let mut lint = false;
     let mut profile = false;
     let mut json: Option<String> = None;
-    let mut serve_json: Option<String> = None;
-    let mut store_dir: Option<String> = None;
-    let mut demand = false;
-    let mut summary_json: Option<String> = None;
     let mut config = AnalysisConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -90,20 +66,11 @@ fn main() {
                     Err(_) => die_usage(&format!("--jobs expects a number, got `{v}`")),
                 }
             }
-            "--timings" => timings = true,
             "--lint" => lint = true,
             "--profile" => profile = true,
             "--json" => match args.next() {
                 Some(p) => json = Some(p),
                 None => die_usage("--json expects a file path"),
-            },
-            "--serve-json" => match args.next() {
-                Some(p) => serve_json = Some(p),
-                None => die_usage("--serve-json expects a file path"),
-            },
-            "--store-dir" => match args.next() {
-                Some(p) => store_dir = Some(p),
-                None => die_usage("--store-dir expects a directory path"),
             },
             "--deadline" => {
                 let v = args.next().unwrap_or_default();
@@ -120,7 +87,6 @@ fn main() {
                 }
             }
             "--prune-liveness" => config.prune_liveness = true,
-            "--demand" => demand = true,
             "--memo" => {
                 let v = args.next().unwrap_or_default();
                 match pta_core::MemoScope::parse(&v) {
@@ -128,10 +94,6 @@ fn main() {
                     None => die_usage(&format!("--memo expects `node` or `program`, got `{v}`")),
                 }
             }
-            "--summary-json" => match args.next() {
-                Some(p) => summary_json = Some(p),
-                None => die_usage("--summary-json expects a file path"),
-            },
             s if s.starts_with('-') => die_usage(&format!("unknown flag `{s}`")),
             s => section = Some(s.to_owned()),
         }
@@ -143,7 +105,6 @@ fn main() {
         "table5",
         "table6",
         "summary",
-        "summary-scale",
         "livc",
         "heap-sites",
         "ablation",
@@ -157,16 +118,6 @@ fn main() {
             ));
         }
     }
-    // Load (and validate) the pta-load artifact up front so a missing
-    // or corrupt file fails before the suite spends minutes analysing.
-    let serve_artifact: Option<String> = serve_json.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die_usage(&format!("cannot read {path}: {e}")));
-        if let Err(e) = report::parse_serve_artifact(&text) {
-            die_usage(&format!("{path}: {e}"));
-        }
-        text
-    });
     let jobs = jobs.unwrap_or_else(pta_benchsuite::default_jobs);
     let arg = section.unwrap_or_else(|| "all".to_owned());
     let want = |s: &str| arg == s || arg == "all";
@@ -178,31 +129,14 @@ fn main() {
         || want("table5")
         || want("table6")
         || want("summary")
-        || timings
         || lint
         || profile
-        || json.is_some()
-        || serve_json.is_some()
-        || store_dir.is_some()
-        || demand;
+        || json.is_some();
     if suite_wanted {
         // Metrics ride along whenever the artifact or the profile table
-        // asks for them; plain table runs stay untraced. Store mode
-        // collects no metrics (the cold run is a plain recorded run).
-        let with_metrics = (profile || json.is_some()) && store_dir.is_none();
-        let store_path = store_dir.as_ref().map(std::path::PathBuf::from);
-        if let Some(dir) = &store_path {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                die_usage(&format!("cannot create {}: {e}", dir.display()));
-            }
-        }
-        let suite = report::run_benchmarks_store(
-            pta_benchsuite::SUITE,
-            jobs,
-            config.clone(),
-            with_metrics,
-            store_path.as_deref(),
-        );
+        // asks for them; plain table runs stay untraced.
+        let with_metrics = profile || json.is_some();
+        let suite = report::run_benchmarks(pta_benchsuite::SUITE, jobs, config, with_metrics);
         if want("table2") {
             println!(
                 "== Table 2: benchmark characteristics ==\n{}",
@@ -259,12 +193,6 @@ fn main() {
             );
             println!();
         }
-        if timings {
-            println!(
-                "== Suite timings (wall clock; not part of the tables) ==\n{}",
-                suite.timings_table()
-            );
-        }
         if lint {
             println!(
                 "== Diagnostics per benchmark (pta-lint) ==\n{}",
@@ -277,47 +205,10 @@ fn main() {
                 suite.profile_table()
             );
         }
-        if let Some(text) = &serve_artifact {
-            // Validated at startup, so these unwraps cannot fire.
-            let parsed = report::parse_serve_artifact(text).expect("validated at startup");
-            println!(
-                "== Serving throughput (pta-load) ==\n{}",
-                report::serve_table(&parsed)
-            );
-        }
-        let demand_rows = if demand {
-            match report::demand_study_jobs(jobs, &config) {
-                Ok(rows) => {
-                    println!(
-                        "== Demand-driven first-answer latency (E18) ==\n{}",
-                        report::render_demand(&rows)
-                    );
-                    Some(rows)
-                }
-                Err(e) => {
-                    eprintln!("report: demand study failed: {e}");
-                    failed = true;
-                    None
-                }
-            }
-        } else {
-            None
-        };
         if let Some(path) = &json {
-            let mut artifact = match &serve_artifact {
-                Some(text) => suite
-                    .timings_json_with_serve(text)
-                    .expect("validated at startup"),
-                None => suite.timings_json(),
-            };
-            if let Some(rows) = &demand_rows {
-                artifact =
-                    report::splice_json_section(&artifact, "demand", &report::demand_json(rows))
-                        .expect("our own artifact ends with `}`");
-            }
-            std::fs::write(path, artifact)
+            std::fs::write(path, suite.suite_json())
                 .unwrap_or_else(|e| die_usage(&format!("cannot write {path}: {e}")));
-            eprintln!("wrote timings to {path}");
+            eprintln!("wrote the suite JSON to {path}");
         }
         if !suite.is_clean() {
             eprint!("{}", suite.render_failures());
@@ -347,50 +238,14 @@ fn main() {
             }
         }
     }
-    let mut ablation_rows = None;
-    if want("ablation") || summary_json.is_some() {
+    if want("ablation") {
         match report::ablation_jobs(jobs) {
-            Ok(rows) => {
-                if want("ablation") {
-                    println!(
-                        "== Context-sensitivity ablation ==\n{}",
-                        report::render_ablation(&rows)
-                    );
-                }
-                ablation_rows = Some(rows);
-            }
+            Ok(rows) => println!(
+                "== Context-sensitivity ablation ==\n{}",
+                report::render_ablation(&rows)
+            ),
             Err(e) => {
                 eprintln!("report: ablation failed: {e}");
-                failed = true;
-            }
-        }
-    }
-    // The E19 table carries wall-clock timings, so (like `--timings`) it
-    // is excluded from `all`: `report all` stays byte-identical across
-    // runs and store modes. Ask for the section by name.
-    let scale_wanted = arg == "summary-scale";
-    if scale_wanted || summary_json.is_some() {
-        match report::summary_scale_study(report::SUMMARY_SCALE_TIERS) {
-            Ok(rows) => {
-                if scale_wanted {
-                    println!(
-                        "== Program-scope memo on call fan-out (E19) ==\n{}",
-                        report::render_summary_scale(&rows)
-                    );
-                }
-                if rows.iter().any(|r| !r.identical) {
-                    eprintln!("report: program-scope facts diverged from node scope");
-                    failed = true;
-                }
-                if let (Some(path), Some(ablation)) = (&summary_json, &ablation_rows) {
-                    let artifact = report::summary_artifact(ablation, &rows);
-                    std::fs::write(path, artifact)
-                        .unwrap_or_else(|e| die_usage(&format!("cannot write {path}: {e}")));
-                    eprintln!("wrote memo-scope study to {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("report: memo-scope study failed: {e}");
                 failed = true;
             }
         }

@@ -2,10 +2,13 @@
 //! aggregates, the `livc` invocation-graph study, and the
 //! context-sensitivity ablation.
 //!
-//! Every entry point has a `*_jobs` variant taking a worker count; the
-//! default variants use [`default_jobs`]. The suite programs are
-//! analysed concurrently (see [`crate::parallel`]) but reported in
-//! paper order, so the rendered tables are identical for any job count.
+//! Every study has a `*_jobs` variant taking a worker count, and the
+//! suite driver [`run_benchmarks`] takes one too; the default variants
+//! use [`default_jobs`]. The suite programs are analysed concurrently
+//! (see [`crate::parallel`]) but reported in paper order, so the
+//! rendered tables and the JSON document are identical for any job
+//! count. Nothing here is timed except [`summary_scale_study`], whose
+//! wall clocks back one test of the E19 crossover.
 
 use crate::parallel::{catch_panic, default_jobs, par_join3, par_join4, par_map};
 use crate::{all_benchmarks, analyse, Analysed, Benchmark, LIVC, PANIC_BENCH_NAME, SUITE};
@@ -16,21 +19,7 @@ use pta_core::baseline::{
 use pta_core::stats::{self, BenchmarkStats};
 use pta_core::{AnalysisConfig, AnalysisError, Def, Fidelity, PtSet, PtaError};
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
-
-/// Wall-clock time of one benchmark's analysis + statistics pass.
-#[derive(Debug, Clone)]
-pub struct BenchTiming {
-    /// Benchmark name.
-    pub name: String,
-    /// Time spent analysing it (one worker's wall clock). In store
-    /// mode, the cold context-sensitive analysis alone (so the cold and
-    /// warm columns measure the same work).
-    pub duration: Duration,
-    /// Store mode only: wall clock of the warm (snapshot-seeded)
-    /// re-analysis of the same program.
-    pub warm: Option<Duration>,
-}
+use std::time::Instant;
 
 /// One successfully analysed benchmark with its statistics and the
 /// provenance of the numbers (which rung of the degradation ladder
@@ -120,127 +109,48 @@ impl SuiteRow {
 pub struct SuiteReport {
     /// Per-benchmark rows (paper order), failed ones included.
     pub rows: Vec<SuiteRow>,
-    /// Per-benchmark timings (paper order).
-    pub timings: Vec<BenchTiming>,
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Wall-clock time of the whole suite run.
-    pub wall: Duration,
 }
 
-/// Analyses the full 17-program suite with [`default_jobs`] workers.
-/// Never fails: a crashing or budget-exhausted benchmark becomes a
-/// failed or degraded row.
+/// Analyses the full 17-program suite with [`default_jobs`] workers and
+/// the default configuration. Never fails: a crashing or
+/// budget-exhausted benchmark becomes a failed or degraded row.
 pub fn run_suite() -> SuiteReport {
-    run_suite_jobs(default_jobs())
+    run_benchmarks(SUITE, default_jobs(), AnalysisConfig::default(), false)
 }
 
-/// [`run_suite`] with an explicit worker count (`1` forces the serial
-/// path).
-pub fn run_suite_jobs(jobs: usize) -> SuiteReport {
-    run_benchmarks_cfg(SUITE, jobs, AnalysisConfig::default())
-}
-
-/// The suite driver over an explicit benchmark list and configuration.
+/// The suite driver over an explicit benchmark list, worker count (`1`
+/// forces the serial path) and configuration.
 ///
 /// Fault isolation: each benchmark's job runs under `catch_unwind`, so
 /// a panic in one worker yields a [`SuiteRow::Failed`] row while every
 /// sibling completes normally. Budget exhaustion degrades through
 /// [`pta_core::analyze_resilient`] and tags the row's [`Fidelity`].
-/// Rows come back in input order for every job count.
-pub fn run_benchmarks_cfg(
-    benches: &[Benchmark],
-    jobs: usize,
-    config: AnalysisConfig,
-) -> SuiteReport {
-    run_benchmarks_opts(benches, jobs, config, false)
-}
-
-/// [`run_benchmarks_cfg`] with opt-in profiling: with `profile` set,
-/// each benchmark's context-sensitive analysis runs with a
-/// [`pta_core::TraceMetrics`] sink attached and the aggregated counters
-/// land on [`AnalysedRow::metrics`] (rendered by
+/// With `profile` set, each benchmark's context-sensitive analysis runs
+/// with a [`pta_core::TraceMetrics`] sink attached and the aggregated
+/// counters land on [`AnalysedRow::metrics`] (rendered by
 /// [`SuiteReport::profile_table`] and embedded in
-/// [`SuiteReport::timings_json`]). The counter-valued metrics are
-/// deterministic for every job count.
-pub fn run_benchmarks_opts(
+/// [`SuiteReport::suite_json`]). Rows come back in input order, so
+/// every rendering is byte-identical for every job count.
+pub fn run_benchmarks(
     benches: &[Benchmark],
     jobs: usize,
     config: AnalysisConfig,
     profile: bool,
 ) -> SuiteReport {
-    run_benchmarks_store(benches, jobs, config, profile, None)
-}
-
-/// [`run_benchmarks_opts`] with an optional fact-store directory. In
-/// store mode each benchmark runs the full-fidelity analysis twice —
-/// once cold (recorded), once warm from the snapshot the cold run just
-/// wrote to `store_dir/<name>.ptas` — and the timing row carries both
-/// wall clocks. The warm result is replayed seeds only when it matches
-/// the cold one's mode guarantees; a benchmark whose recorded run
-/// fails its budget falls back to the ordinary resilient path (no
-/// snapshot, no warm column). `profile` metrics are collected only on
-/// the non-store path.
-pub fn run_benchmarks_store(
-    benches: &[Benchmark],
-    jobs: usize,
-    config: AnalysisConfig,
-    profile: bool,
-    store_dir: Option<&std::path::Path>,
-) -> SuiteReport {
-    let start = Instant::now();
-    let results = par_map(jobs, benches, |b| {
-        let t0 = Instant::now();
-        let (row, timed) = match catch_panic(|| match store_dir {
-            Some(dir) => suite_job_store(*b, config.clone(), profile, dir),
-            None => suite_job(*b, config.clone(), profile).map(|r| (r, None)),
-        }) {
-            Ok(Ok((row, timed))) => (SuiteRow::Analysed(Box::new(row)), timed),
-            Ok(Err(e)) => {
-                let kind = match &e {
-                    PtaError::Frontend(_) => SuiteErrorKind::Frontend,
-                    PtaError::Analysis(_) => SuiteErrorKind::Analysis,
-                };
-                (
-                    SuiteRow::Failed(SuiteError {
-                        name: b.name.to_owned(),
-                        kind,
-                        message: e.to_string(),
-                    }),
-                    None,
-                )
-            }
-            Err(msg) => (
-                SuiteRow::Failed(SuiteError {
-                    name: b.name.to_owned(),
-                    kind: SuiteErrorKind::Panic,
-                    message: msg,
-                }),
-                None,
-            ),
+    let rows = par_map(jobs, benches, |b| {
+        let (kind, message) = match catch_panic(|| suite_job(*b, config.clone(), profile)) {
+            Ok(Ok(row)) => return SuiteRow::Analysed(Box::new(row)),
+            Ok(Err(e @ PtaError::Frontend(_))) => (SuiteErrorKind::Frontend, e.to_string()),
+            Ok(Err(e @ PtaError::Analysis(_))) => (SuiteErrorKind::Analysis, e.to_string()),
+            Err(msg) => (SuiteErrorKind::Panic, msg),
         };
-        let timing = match timed {
-            Some((cold, warm)) => (cold, Some(warm)),
-            None => (t0.elapsed(), None),
-        };
-        (row, timing)
+        SuiteRow::Failed(SuiteError {
+            name: b.name.to_owned(),
+            kind,
+            message,
+        })
     });
-    let mut rows = Vec::new();
-    let mut timings = Vec::new();
-    for (row, (d, warm)) in results {
-        timings.push(BenchTiming {
-            name: row.name().to_owned(),
-            duration: d,
-            warm,
-        });
-        rows.push(row);
-    }
-    SuiteReport {
-        rows,
-        timings,
-        jobs: jobs.max(1),
-        wall: start.elapsed(),
-    }
+    SuiteReport { rows }
 }
 
 /// One benchmark's full job: compile, analyse through the degradation
@@ -275,61 +185,6 @@ fn suite_job(b: Benchmark, config: AnalysisConfig, profile: bool) -> Result<Anal
         lint,
         metrics,
     })
-}
-
-/// The store-mode job: a timed cold recorded run, a snapshot written
-/// to `dir/<name>.ptas`, and a timed warm replay from that snapshot.
-/// Returns the cold and warm analysis wall clocks alongside the row.
-/// A budget-failed recorded run falls back to [`suite_job`] (resilient
-/// ladder, no snapshot, no warm timing).
-fn suite_job_store(
-    b: Benchmark,
-    config: AnalysisConfig,
-    profile: bool,
-    dir: &std::path::Path,
-) -> Result<(AnalysedRow, Option<(Duration, Duration)>), PtaError> {
-    if b.name == PANIC_BENCH_NAME {
-        panic!("deliberate suite-job panic (fault-isolation test hook)");
-    }
-    let ir = pta_simple::compile(b.source)?;
-    let t_cold = Instant::now();
-    let run = match pta_core::analyze_recorded(&ir, config.clone()) {
-        Ok(run) => run,
-        Err(_) => return suite_job(b, config, profile).map(|r| (r, None)),
-    };
-    let cold = t_cold.elapsed();
-    let lint = pta_lint::lint_ir(
-        &ir,
-        &run.result,
-        Fidelity::ContextSensitive,
-        &pta_lint::LintOptions::default(),
-    );
-    let snap = pta_store::Snapshot::build(&ir, &config, &run, &lint);
-    let path = dir.join(format!("{}.ptas", b.name));
-    if let Err(e) = pta_store::save(&path, &snap) {
-        eprintln!("report: cannot write snapshot for {}: {e}", b.name);
-    }
-    let t_warm = Instant::now();
-    let warm = pta_store::analyze_incremental(&ir, &config, Some(&snap))?;
-    let warm_time = t_warm.elapsed();
-    debug_assert!(matches!(warm.mode, pta_store::WarmMode::Warm { .. }));
-    let mut analysed = Analysed {
-        bench: b,
-        ir,
-        result: run.result,
-    };
-    let stats = stats::compute(b.name, b.source, &analysed.ir, &mut analysed.result);
-    Ok((
-        AnalysedRow {
-            analysed,
-            stats,
-            fidelity: Fidelity::ContextSensitive,
-            degradations: Vec::new(),
-            lint,
-            metrics: None,
-        },
-        Some((cold, warm_time)),
-    ))
 }
 
 impl SuiteReport {
@@ -556,83 +411,30 @@ impl SuiteReport {
         out
     }
 
-    /// Renders the per-benchmark timing table (wall clock; timings vary
-    /// run to run and are deliberately kept out of Tables 2–6).
-    pub fn timings_table(&self) -> String {
-        let mut out = String::new();
-        let warm_mode = self.timings.iter().any(|t| t.warm.is_some());
-        if warm_mode {
-            let _ = writeln!(
-                out,
-                "{:<10} {:>10} {:>10} {:>8}",
-                "Benchmark", "cold-ms", "warm-ms", "speedup"
-            );
-        } else {
-            let _ = writeln!(out, "{:<10} {:>10}", "Benchmark", "ms");
-        }
-        for t in &self.timings {
-            let cold = t.duration.as_secs_f64() * 1e3;
-            match (warm_mode, t.warm) {
-                (true, Some(w)) => {
-                    let warm = w.as_secs_f64() * 1e3;
-                    let speedup = if warm > 0.0 {
-                        cold / warm
-                    } else {
-                        f64::INFINITY
-                    };
-                    let _ = writeln!(
-                        out,
-                        "{:<10} {:>10.3} {:>10.3} {:>7.2}x",
-                        t.name, cold, warm, speedup
-                    );
-                }
-                (true, None) => {
-                    let _ = writeln!(out, "{:<10} {:>10.3} {:>10} {:>8}", t.name, cold, "-", "-");
-                }
-                (false, _) => {
-                    let _ = writeln!(out, "{:<10} {:>10.3}", t.name, cold);
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "{:<10} {:>10.3}   ({} worker{})",
-            "WALL",
-            self.wall.as_secs_f64() * 1e3,
-            self.jobs,
-            if self.jobs == 1 { "" } else { "s" }
-        );
-        out
-    }
-
-    /// The timings as a JSON document (the CI `BENCH_1.json` artifact),
-    /// stamped with the snapshot/trace schema version. Each benchmark
-    /// entry carries its result provenance: a `"fidelity"` tag for
-    /// analysed rows, `"failed"` plus an `"error"` message for failed
-    /// ones, and a `"warm_ms"` field in store mode. Runs with
-    /// `--prune-liveness` add a per-benchmark `"prune"` object
-    /// (seen/pruned pair counters and the sparsity percentage, E17).
-    pub fn timings_json(&self) -> String {
+    /// The suite as a JSON document (the `--json` artifact), stamped
+    /// with the snapshot/trace schema version. Each benchmark entry
+    /// carries its result provenance: a `"fidelity"` tag and diagnostic
+    /// counts for analysed rows, `"failed"` plus an `"error"` message
+    /// for failed ones. Profiled runs add the deterministic trace
+    /// counters as `"metrics"`; runs with `--prune-liveness` add a
+    /// per-benchmark `"prune"` object (seen/pruned pair counters and the
+    /// sparsity percentage, E17). No field is a wall-clock figure, so
+    /// the document is byte-identical for every job count.
+    pub fn suite_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"schema\":\"{}\",\"jobs\":{},\"wall_ms\":{:.3},\"failures\":{},\"benchmarks\":[",
+            "{{\"schema\":\"{}\",\"failures\":{},\"benchmarks\":[",
             pta_core::SCHEMA_VERSION,
-            self.jobs,
-            self.wall.as_secs_f64() * 1e3,
             self.failures().len()
         );
-        for (i, (t, row)) in self.timings.iter().zip(&self.rows).enumerate() {
+        for (i, row) in self.rows.iter().enumerate() {
             let _ = write!(
                 out,
-                "{}{{\"name\":\"{}\",\"ms\":{:.3},",
+                "{}{{\"name\":\"{}\",",
                 if i == 0 { "" } else { "," },
-                t.name,
-                t.duration.as_secs_f64() * 1e3
+                row.name()
             );
-            if let Some(w) = t.warm {
-                let _ = write!(out, "\"warm_ms\":{:.3},", w.as_secs_f64() * 1e3);
-            }
             match row {
                 SuiteRow::Analysed(r) => {
                     let c = pta_lint::DiagnosticCounts::of(&r.lint);
@@ -671,22 +473,6 @@ impl SuiteReport {
         }
         out.push_str("]}\n");
         out
-    }
-
-    /// [`Self::timings_json`] with a `"serve"` section spliced in.
-    /// `serve` is the raw `pta.load.v1` artifact written by
-    /// `pta-load --json`; it is parsed, checked for the schema stamp,
-    /// and re-rendered canonically so a truncated or foreign file can
-    /// never be published inside the bench artifact.
-    pub fn timings_json_with_serve(&self, serve: &str) -> Result<String, String> {
-        let value = parse_serve_artifact(serve)?;
-        let mut out = self.timings_json();
-        debug_assert!(out.ends_with("]}\n"));
-        out.truncate(out.len() - 2);
-        out.push_str(",\"serve\":");
-        out.push_str(&value.render());
-        out.push_str("}\n");
-        Ok(out)
     }
 
     /// Renders the per-benchmark diagnostics table (the `--lint`
@@ -866,84 +652,6 @@ fn json_escape(s: &str) -> String {
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
-    }
-    out
-}
-
-/// Parses and validates a `pta.load.v1` serve artifact (the file
-/// `pta-load --json` writes). Rejects non-JSON input, non-objects, and
-/// anything without the right `"schema"` stamp.
-pub fn parse_serve_artifact(text: &str) -> Result<pta_store::json::Json, String> {
-    let value =
-        pta_store::json::parse(text.trim()).map_err(|e| format!("invalid serve JSON: {e}"))?;
-    match value.get("schema").and_then(pta_store::json::Json::as_str) {
-        Some("pta.load.v1") => Ok(value),
-        Some(other) => Err(format!(
-            "serve JSON has schema `{other}`, want `pta.load.v1`"
-        )),
-        None => Err("serve JSON is missing its `schema` stamp".to_owned()),
-    }
-}
-
-/// Renders the human-readable serve summary (the `--serve-json`
-/// section): throughput and latency percentiles from a `pta.load.v1`
-/// artifact. Missing fields render as `-` rather than failing, so a
-/// schema-compatible artifact from a newer generator still prints.
-pub fn serve_table(artifact: &pta_store::json::Json) -> String {
-    use pta_store::json::Json;
-    let fmt = |v: Option<f64>| -> String {
-        match v {
-            Some(v) if v.fract() == 0.0 => format!("{}", v as i64),
-            Some(v) => format!("{v:.1}"),
-            None => "-".to_owned(),
-        }
-    };
-    let num = |key: &str| fmt(artifact.get(key).and_then(Json::as_f64));
-    let lat = |key: &str| {
-        fmt(artifact
-            .get("latency_us")
-            .and_then(|l| l.get(key))
-            .and_then(Json::as_f64))
-    };
-    let programs = match artifact.get("programs").and_then(Json::as_arr) {
-        Some(items) => items
-            .iter()
-            .filter_map(Json::as_str)
-            .collect::<Vec<_>>()
-            .join(" "),
-        None => "-".to_owned(),
-    };
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} {:>8} {:>8} {:>10} {:>9} {:>9} {:>9} {:>7}",
-        "programs", "queries", "conns", "qps", "p50-us", "p90-us", "p99-us", "errors"
-    );
-    let _ = writeln!(
-        out,
-        "{:<10} {:>8} {:>8} {:>10} {:>9} {:>9} {:>9} {:>7}",
-        programs,
-        num("queries"),
-        num("conns"),
-        num("qps"),
-        lat("p50"),
-        lat("p90"),
-        lat("p99"),
-        num("errors"),
-    );
-    if let Some(v) = artifact.get("verified").and_then(|j| match j {
-        Json::Bool(b) => Some(*b),
-        _ => None,
-    }) {
-        let _ = writeln!(
-            out,
-            "responses {} across connection counts",
-            if v {
-                "verified byte-identical"
-            } else {
-                "DIFFER"
-            }
-        );
     }
     out
 }
@@ -1241,191 +949,6 @@ pub fn render_ablation(rows: &[AblationRow]) -> String {
     out
 }
 
-/// Extension experiment (E18): demand-driven first-answer latency. One
-/// row per suite benchmark comparing how long the *first* rooted query
-/// takes demand-driven (plan the probe root's slice + analyse only the
-/// slice) against an exhaustive cold analysis of the same program.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DemandBenchRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Defined functions in the program.
-    pub functions: usize,
-    /// Functions in the probe root's slice (= `functions` when the
-    /// probe fell back to exhaustive).
-    pub slice_functions: usize,
-    /// `slice_functions / functions`.
-    pub fraction: f64,
-    /// True when an unresolved indirect call widened the slice.
-    pub widened: bool,
-    /// True when the probe was answered by a sliced run (false: the
-    /// plan fell back and the demand time *is* an exhaustive run).
-    pub sliced: bool,
-    /// Wall clock of the demand-driven first answer (plan + sliced
-    /// analysis), cold.
-    pub demand_ms: f64,
-    /// Wall clock of the exhaustive cold analysis.
-    pub exhaustive_ms: f64,
-}
-
-impl DemandBenchRow {
-    /// Exhaustive-cold over demand-first latency.
-    pub fn speedup(&self) -> f64 {
-        if self.demand_ms > 0.0 {
-            self.exhaustive_ms / self.demand_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// The probe root of a program: the first program point of the defined
-/// function whose slice is smallest (ties: lowest function id). A small
-/// slice is the *best case* for demand mode — the study reports how
-/// much that best case buys on each benchmark.
-fn demand_probe(ir: &pta_simple::IrProgram) -> Option<(pta_core::QueryRoot, pta_core::DemandInfo)> {
-    let mut best: Option<(pta_core::QueryRoot, pta_core::DemandInfo)> = None;
-    for (fid, f) in ir.defined_functions() {
-        let Some(body) = &f.body else { continue };
-        let mut first = None;
-        body.for_each_basic(&mut |_, id| {
-            if first.is_none() {
-                first = Some(id);
-            }
-        });
-        let Some(stmt) = first else { continue };
-        if let pta_core::DemandPlan::Run(info) =
-            pta_core::demand::plan(ir, &[(fid, stmt)], pta_core::DEFAULT_BUDGET_FRACTION)
-        {
-            let better = best
-                .as_ref()
-                .is_none_or(|(_, b)| info.slice.len() < b.slice.len());
-            if better {
-                best = Some(((fid, stmt), info));
-            }
-        }
-    }
-    best
-}
-
-/// Runs the demand-latency study (E18) over the suite.
-///
-/// # Errors
-///
-/// Propagates front-end or analysis failures.
-pub fn demand_study_jobs(
-    jobs: usize,
-    config: &AnalysisConfig,
-) -> Result<Vec<DemandBenchRow>, PtaError> {
-    par_map(jobs, SUITE, |b| {
-        let ir = pta_simple::compile(b.source)?;
-        let functions = ir.defined_functions().count();
-        let probe = demand_probe(&ir);
-        let root = match &probe {
-            Some((root, _)) => *root,
-            // Every candidate fell back: probe the entry function (the
-            // demand run then *is* an exhaustive run; speedup ~1).
-            None => {
-                let entry = ir
-                    .entry
-                    .ok_or(PtaError::Analysis(pta_core::AnalysisError::NoEntry))?;
-                let mut first = None;
-                if let Some(body) = &ir.function(entry).body {
-                    body.for_each_basic(&mut |_, id| {
-                        if first.is_none() {
-                            first = Some(id);
-                        }
-                    });
-                }
-                let stmt = first.ok_or(PtaError::Analysis(pta_core::AnalysisError::NoEntry))?;
-                (entry, stmt)
-            }
-        };
-        let t0 = Instant::now();
-        let outcome = pta_core::analyze_demand(&ir, config, &[root])?;
-        let demand_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let _ = pta_core::analyze_with(&ir, config.clone())?;
-        let exhaustive_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let (slice_functions, widened, sliced) = match &outcome.mode {
-            pta_core::DemandMode::Sliced(info) => (info.slice.len(), info.widened, true),
-            pta_core::DemandMode::Fallback(_) => (functions, false, false),
-        };
-        Ok(DemandBenchRow {
-            name: b.name.to_owned(),
-            functions,
-            slice_functions,
-            fraction: if functions == 0 {
-                1.0
-            } else {
-                slice_functions as f64 / functions as f64
-            },
-            widened,
-            sliced,
-            demand_ms,
-            exhaustive_ms,
-        })
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Renders the demand-latency study (E18).
-pub fn render_demand(rows: &[DemandBenchRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} {:>6} {:>7} {:>9} {:>11} {:>13} {:>8}",
-        "Benchmark", "#fns", "slice", "fraction", "demand-ms", "exhaust-ms", "speedup"
-    );
-    for r in rows {
-        let marker = match (r.sliced, r.widened) {
-            (false, _) => "  [fallback]",
-            (true, true) => "  [widened]",
-            (true, false) => "",
-        };
-        let _ = writeln!(
-            out,
-            "{:<10} {:>6} {:>7} {:>8.2} {:>11.3} {:>13.3} {:>7.2}x{}",
-            r.name,
-            r.functions,
-            r.slice_functions,
-            r.fraction,
-            r.demand_ms,
-            r.exhaustive_ms,
-            r.speedup(),
-            marker
-        );
-    }
-    out
-}
-
-/// The demand study as a JSON array value (the `"demand"` section of
-/// the bench artifact).
-pub fn demand_json(rows: &[DemandBenchRow]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"name\":\"{}\",\"functions\":{},\"slice_functions\":{},\
-             \"fraction\":{:.4},\"widened\":{},\"sliced\":{},\
-             \"demand_first_ms\":{:.3},\"exhaustive_cold_ms\":{:.3},\"speedup\":{:.2}}}",
-            if i == 0 { "" } else { "," },
-            r.name,
-            r.functions,
-            r.slice_functions,
-            r.fraction,
-            r.widened,
-            r.sliced,
-            r.demand_ms,
-            r.exhaustive_ms,
-            r.speedup()
-        );
-    }
-    out.push(']');
-    out
-}
-
 /// Extension experiment (E19): where the program-scope memo overtakes
 /// per-invocation re-analysis. One row per size tier of the
 /// `call-fanout` stress family (see `pta_prop::cgen::call_fanout`):
@@ -1515,102 +1038,6 @@ pub fn summary_scale_study(tiers: &[usize]) -> Result<Vec<SummaryScaleRow>, PtaE
         });
     }
     Ok(rows)
-}
-
-/// Renders the memo-scope study (E19).
-pub fn render_summary_scale(rows: &[SummaryScaleRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<6} {:>6} {:>7} {:>9} {:>11} {:>10} {:>8}",
-        "sites", "#fns", "stmts", "node-ms", "program-ms", "memo-hits", "speedup"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<6} {:>6} {:>7} {:>9.3} {:>11.3} {:>10} {:>7.2}x{}",
-            r.call_sites,
-            r.functions,
-            r.stmts,
-            r.node_ms,
-            r.program_ms,
-            r.memo_hits,
-            r.speedup(),
-            if r.identical { "" } else { "  [DIVERGED]" }
-        );
-    }
-    out
-}
-
-/// The memo-scope study as a JSON array value (the `"summary_scale"`
-/// section of `BENCH_summary.json`).
-pub fn summary_scale_json(rows: &[SummaryScaleRow]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"call_sites\":{},\"functions\":{},\"stmts\":{},\
-             \"node_ms\":{:.3},\"program_ms\":{:.3},\"memo_hits\":{},\
-             \"identical\":{},\"speedup\":{:.2}}}",
-            if i == 0 { "" } else { "," },
-            r.call_sites,
-            r.functions,
-            r.stmts,
-            r.node_ms,
-            r.program_ms,
-            r.memo_hits,
-            r.identical,
-            r.speedup()
-        );
-    }
-    out.push(']');
-    out
-}
-
-/// The E11 ablation as a JSON array value (the `"ablation"` section of
-/// `BENCH_summary.json` — the per-benchmark precision columns of the
-/// four E11 analyses).
-pub fn ablation_json(rows: &[AblationRow]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"name\":\"{}\",\"context_sensitive\":{:.4},\
-             \"context_insensitive\":{:.4},\"andersen\":{:.4},\"steensgaard\":{:.4}}}",
-            if i == 0 { "" } else { "," },
-            r.name,
-            r.context_sensitive,
-            r.context_insensitive,
-            r.andersen,
-            r.steensgaard
-        );
-    }
-    out.push(']');
-    out
-}
-
-/// The `BENCH_summary.json` artifact: the E19 memo-scope table plus the
-/// E11 ablation, as one JSON document.
-pub fn summary_artifact(ablation: &[AblationRow], scale: &[SummaryScaleRow]) -> String {
-    format!(
-        "{{\"schema\":\"pta-bench-summary-v2\",\"ablation\":{},\"summary_scale\":{}}}\n",
-        ablation_json(ablation),
-        summary_scale_json(scale)
-    )
-}
-
-/// Splices one extra `"key":value` section into a rendered bench
-/// artifact (the string [`SuiteReport::timings_json`] or
-/// [`SuiteReport::timings_json_with_serve`] produced).
-///
-/// # Errors
-///
-/// Rejects artifacts that do not end in `}\n` (not ours).
-pub fn splice_json_section(artifact: &str, key: &str, value: &str) -> Result<String, String> {
-    let Some(body) = artifact.strip_suffix("}\n") else {
-        return Err("bench artifact must end with `}`".to_owned());
-    };
-    Ok(format!("{body},\"{key}\":{value}}}\n"))
 }
 
 /// Extension experiment (E12): precision effect of allocation-site heap
@@ -1704,81 +1131,6 @@ mod tests {
             let a = analyse(b);
             assert!(a.is_ok(), "{} failed: {:?}", b.name, a.err());
         }
-    }
-
-    #[test]
-    fn demand_study_covers_the_suite_and_embeds() {
-        let rows = demand_study_jobs(2, &AnalysisConfig::default()).expect("study runs");
-        assert_eq!(rows.len(), SUITE.len());
-        for r in &rows {
-            assert!(r.functions > 0, "{}: no functions", r.name);
-            assert!(
-                r.slice_functions <= r.functions,
-                "{}: slice exceeds program",
-                r.name
-            );
-            assert!(r.fraction > 0.0 && r.fraction <= 1.0, "{}", r.name);
-        }
-        // A sliced probe must exist somewhere in the suite, else the
-        // study is measuring nothing.
-        assert!(rows.iter().any(|r| r.sliced), "no benchmark sliced");
-        let table = render_demand(&rows);
-        assert!(table.contains("speedup"), "{table}");
-        // The JSON section embeds into the timings artifact and the
-        // result is still one well-formed document.
-        let suite = SuiteReport {
-            rows: Vec::new(),
-            timings: Vec::new(),
-            jobs: 1,
-            wall: Duration::from_millis(5),
-        };
-        let spliced = splice_json_section(&suite.timings_json(), "demand", &demand_json(&rows))
-            .expect("splice");
-        let whole = pta_store::json::parse(spliced.trim()).expect("artifact parses");
-        let n = whole
-            .get("demand")
-            .and_then(pta_store::json::Json::as_arr)
-            .map(<[pta_store::json::Json]>::len);
-        assert_eq!(n, Some(SUITE.len()));
-        assert!(splice_json_section("nope", "demand", "[]").is_err());
-    }
-
-    #[test]
-    fn serve_section_embeds_and_renders() {
-        let suite = SuiteReport {
-            rows: Vec::new(),
-            timings: Vec::new(),
-            jobs: 1,
-            wall: Duration::from_millis(5),
-        };
-        let artifact = "{\"schema\":\"pta.load.v1\",\"addr\":\"tcp:127.0.0.1:9\",\
-             \"programs\":[\"hash\",\"misr\"],\"conns\":4,\"rounds\":2,\"seed\":\"0x1\",\
-             \"batch\":1,\"queries\":64,\"ok\":64,\"errors\":0,\"wall_ms\":12,\
-             \"qps\":5333.3,\"latency_us\":{\"p50\":80,\"p90\":120,\"p99\":400,\
-             \"max\":700},\"verified\":true}";
-        let out = suite.timings_json_with_serve(artifact).expect("embed");
-        assert!(
-            out.contains("\"serve\":{\"schema\":\"pta.load.v1\""),
-            "{out}"
-        );
-        // The combined artifact must still be one well-formed document.
-        let whole = pta_store::json::parse(out.trim()).expect("artifact parses");
-        let conns = whole
-            .get("serve")
-            .and_then(|s| s.get("conns"))
-            .and_then(pta_store::json::Json::as_f64);
-        assert_eq!(conns, Some(4.0));
-        // Anything but a stamped pta.load.v1 object is refused.
-        assert!(suite.timings_json_with_serve("{}").is_err());
-        assert!(suite
-            .timings_json_with_serve("{\"schema\":\"other\"}")
-            .is_err());
-        assert!(suite.timings_json_with_serve("not json").is_err());
-        // The human-readable table carries the headline numbers.
-        let table = serve_table(&parse_serve_artifact(artifact).unwrap());
-        assert!(table.contains("hash misr"), "{table}");
-        assert!(table.contains("5333.3"), "{table}");
-        assert!(table.contains("verified byte-identical"), "{table}");
     }
 
     #[test]

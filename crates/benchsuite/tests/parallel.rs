@@ -2,12 +2,14 @@
 //! rendered table and every computed study is byte-identical whether
 //! the work runs on one worker or many.
 
-use pta_benchsuite::report;
+use pta_benchsuite::{report, SUITE};
+use pta_core::AnalysisConfig;
 
 #[test]
 fn tables_are_byte_identical_across_job_counts() {
-    let serial = report::run_suite_jobs(1);
-    let parallel = report::run_suite_jobs(4);
+    // Profiled, so the JSON document carries the trace counters too.
+    let serial = report::run_benchmarks(SUITE, 1, AnalysisConfig::default(), true);
+    let parallel = report::run_benchmarks(SUITE, 4, AnalysisConfig::default(), true);
     assert!(serial.is_clean(), "{}", serial.render_failures());
     assert_eq!(serial.table2(), parallel.table2(), "Table 2 differs");
     assert_eq!(serial.table3(), parallel.table3(), "Table 3 differs");
@@ -15,11 +17,14 @@ fn tables_are_byte_identical_across_job_counts() {
     assert_eq!(serial.table5(), parallel.table5(), "Table 5 differs");
     assert_eq!(serial.table6(), parallel.table6(), "Table 6 differs");
     assert_eq!(serial.summary(), parallel.summary(), "summary differs");
-    // Timings exist for every benchmark, in paper order, on both paths.
-    let names =
-        |r: &report::SuiteReport| r.timings.iter().map(|t| t.name.clone()).collect::<Vec<_>>();
-    assert_eq!(names(&serial), names(&parallel));
-    assert_eq!(serial.rows.len(), serial.timings.len());
+    assert_eq!(serial.lint_table(), parallel.lint_table(), "lint differs");
+    assert_eq!(
+        serial.profile_table(),
+        parallel.profile_table(),
+        "profile differs"
+    );
+    assert_eq!(serial.suite_json(), parallel.suite_json(), "JSON differs");
+    assert!(serial.suite_json().contains("\"metrics\":{"));
 }
 
 #[test]
@@ -34,10 +39,10 @@ fn panicking_job_becomes_a_failed_row_on_every_job_count() {
         },
         benchmark("travel").unwrap(),
     ];
-    let cfg = pta_core::AnalysisConfig::default();
-    let reference = report::run_benchmarks_cfg(&benches, 1, cfg.clone());
+    let cfg = AnalysisConfig::default();
+    let reference = report::run_benchmarks(&benches, 1, cfg.clone(), false);
     for jobs in 1..=8 {
-        let suite = report::run_benchmarks_cfg(&benches, jobs, cfg.clone());
+        let suite = report::run_benchmarks(&benches, jobs, cfg.clone(), false);
         // The panic is contained: its row fails, the siblings analyse.
         assert_eq!(suite.rows.len(), 3, "jobs={jobs}");
         assert!(suite.rows[0].as_analysed().is_some(), "jobs={jobs}");
@@ -56,7 +61,7 @@ fn panicking_job_becomes_a_failed_row_on_every_job_count() {
         // The failed row shows up in the rendered tables and the JSON.
         assert!(suite.table2().contains("FAILED"), "jobs={jobs}");
         assert!(suite.render_failures().contains(PANIC_BENCH_NAME));
-        assert!(suite.timings_json().contains("\"failed\":true"));
+        assert!(suite.suite_json().contains("\"failed\":true"));
     }
 }
 
@@ -64,11 +69,11 @@ fn panicking_job_becomes_a_failed_row_on_every_job_count() {
 fn budget_exhaustion_degrades_a_row_instead_of_failing() {
     use pta_benchsuite::benchmark;
     let benches = vec![benchmark("hash").unwrap()];
-    let cfg = pta_core::AnalysisConfig {
+    let cfg = AnalysisConfig {
         max_steps: 10,
         ..Default::default()
     };
-    let suite = report::run_benchmarks_cfg(&benches, 1, cfg);
+    let suite = report::run_benchmarks(&benches, 1, cfg, false);
     assert!(suite.failures().is_empty(), "{}", suite.render_failures());
     let degraded = suite.degraded();
     assert_eq!(degraded.len(), 1);
@@ -79,7 +84,7 @@ fn budget_exhaustion_degrades_a_row_instead_of_failing() {
         .table3()
         .contains(&format!("[{}]", degraded[0].fidelity)));
     assert!(suite
-        .timings_json()
+        .suite_json()
         .contains(&format!("\"fidelity\":\"{}\"", degraded[0].fidelity)));
 }
 

@@ -13,7 +13,7 @@
 //! - [`TraceMetrics`] — an in-memory aggregator: per-function memo
 //!   hit/miss counts, invocation-graph activity, map/unmap volumes,
 //!   phase timings. Powers `report --profile` and the per-benchmark
-//!   metrics in the CI `BENCH_*.json` artifact.
+//!   `"metrics"` of `report --json` (CI uploads it as `SUITE.json`).
 //! - [`JsonlSink`] — one JSON object per line (stable field order; see
 //!   `docs/TRACING.md` for the schema).
 //! - [`ChromeTraceSink`] — Chrome `trace_events` JSON that loads

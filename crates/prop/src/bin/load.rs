@@ -21,9 +21,8 @@
 //! instead of a hung process.
 //!
 //! `ADDR` accepts the same forms as `pta serve --listen`: `unix:PATH`,
-//! `tcp:HOST:PORT`, or `HOST:PORT`. The `--json` artifact is the
-//! `pta.load.v1` schema that `report summary --serve-json` embeds into
-//! the bench report (CI uploads it as `BENCH_6.json`).
+//! `tcp:HOST:PORT`, or `HOST:PORT`. The `--json` artifact follows the
+//! `pta.load.v1` schema (CI uploads it as `serve-load.json`).
 
 use pta_prop::load::{render_json, run_load, LoadConfig};
 use pta_prop::DEFAULT_SEED;

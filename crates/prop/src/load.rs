@@ -14,8 +14,8 @@
 //!
 //! Latency is measured per request (or per `--batch` array line) from
 //! write to response line; QPS is total queries over the measured wall
-//! clock. [`render_json`] emits the `pta.load.v1` artifact that
-//! `report summary --serve-json` folds into the bench report.
+//! clock. [`render_json`] emits the `pta.load.v1` artifact (CI
+//! uploads it as `serve-load.json`).
 
 use crate::{case_seed, Rng};
 use pta_store::json::{self, Json};

@@ -1,8 +1,8 @@
 //! A minimal JSON layer for the serving stack.
 //!
-//! The build environment is offline (no serde), so the wire protocol,
-//! the load-generator artifact, and the bench report all share this
-//! hand-rolled parser/renderer. It covers the whole JSON grammar —
+//! The build environment is offline (no serde), so the wire protocol
+//! and the load-generator artifact share this hand-rolled
+//! parser/renderer. It covers the whole JSON grammar —
 //! objects, arrays, strings, numbers, booleans, null — which is what
 //! lets the protocol accept *batch* request lines (a JSON array of
 //! request objects) next to plain flat objects.

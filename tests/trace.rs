@@ -84,8 +84,7 @@ fn e13_metrics_reconcile_with_table6() {
     // exactly: analysis_end carries `ig.stats()`, which is the same
     // source `stats::table6` reads, so any divergence means an event
     // was dropped or double-counted.
-    let suite =
-        report::run_benchmarks_opts(pta::benchsuite::SUITE, 2, AnalysisConfig::default(), true);
+    let suite = report::run_benchmarks(pta::benchsuite::SUITE, 2, AnalysisConfig::default(), true);
     assert!(suite.is_clean(), "{}", suite.render_failures());
     let mut seen = 0;
     for row in suite.analysed_rows() {
