@@ -623,9 +623,12 @@ fn run_serve_single(opts: &ServeCliOptions) -> ExitCode {
                         }
                     }
                 });
-                let inc =
-                    pta_store::analyze_incremental(&builder_ir, &builder_config, snap.as_ref())
-                        .map_err(|e| e.to_string())?;
+                let inc = pta_store::analyze_incremental(
+                    &builder_ir,
+                    &builder_config,
+                    snap.as_ref().map(pta_store::Prior::Snapshot),
+                )
+                .map_err(|e| e.to_string())?;
                 let mode = match &inc.mode {
                     pta_store::WarmMode::Warm {
                         seed_hits, dirty, ..
@@ -665,7 +668,11 @@ fn run_serve_single(opts: &ServeCliOptions) -> ExitCode {
                     None
                 }
             });
-    let inc = match pta_store::analyze_incremental(&ir, &opts.config, snap.as_ref()) {
+    let inc = match pta_store::analyze_incremental(
+        &ir,
+        &opts.config,
+        snap.as_ref().map(pta_store::Prior::Snapshot),
+    ) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pta serve: {e}");

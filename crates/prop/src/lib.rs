@@ -22,6 +22,7 @@ pub mod chaos;
 pub mod load;
 pub mod serve;
 pub mod stress;
+pub mod warm;
 
 /// Default base seed; fixed so CI runs are reproducible.
 pub const DEFAULT_SEED: u64 = 0x9E37_79B9_7F4A_7C15;

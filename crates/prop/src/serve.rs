@@ -23,7 +23,7 @@
 use crate::{case_seed, cgen, Rng};
 use pta_core::{AnalysisConfig, Fidelity, Pta};
 use pta_simple::IrProgram;
-use pta_store::{analyze_incremental, parse, serialize, ServeEngine, Snapshot, WarmMode};
+use pta_store::{analyze_incremental, parse, serialize, Prior, ServeEngine, Snapshot, WarmMode};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -298,7 +298,7 @@ fn run_serve_case(source: &str, jobs: usize, socket: bool, g: &mut Rng) -> Resul
     let snap = Snapshot::build(&ir, &config, &cold, &lint);
     let text = serialize(&snap);
     let snap = parse(&text).map_err(|e| format!("snapshot round-trip: {e}"))?;
-    let warm = analyze_incremental(&ir, &config, Some(&snap))
+    let warm = analyze_incremental(&ir, &config, Some(Prior::Snapshot(&snap)))
         .map_err(|e| format!("warm analysis: {e}"))?;
     match &warm.mode {
         WarmMode::Warm { dirty, .. } if dirty.is_empty() => {}

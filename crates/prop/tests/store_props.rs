@@ -7,12 +7,14 @@
 //!    fact-identical to a cold run of the mutated program (the
 //!    incremental correctness contract);
 //! 3. the snapshot codec is a fixed point: serialize ∘ parse ∘
-//!    serialize is byte-identical to serialize.
+//!    serialize is byte-identical to serialize;
+//! 4. an edit chain warmed from the resident run and one warmed from
+//!    its snapshot agree id for id, and with a cold run, at every step.
 
 use pta_core::{analyze_recorded, AnalysisConfig, Fidelity};
 use pta_lint::{lint_ir, LintOptions};
 use pta_prop::{cgen, check_seeded, Rng};
-use pta_store::{analyze_incremental, canonical_facts, parse, perturb_source, serialize};
+use pta_store::{analyze_incremental, canonical_facts, parse, perturb_source, serialize, Prior};
 use pta_store::{Snapshot, WarmMode};
 
 /// Deterministic generated source for one case, cycling the families.
@@ -55,7 +57,8 @@ fn warm_reanalysis_of_unchanged_program_matches_cold() {
             let snap = parse(&serialize(&snap)).expect("snapshot must round-trip");
             let ir = pta_simple::compile(&src).unwrap();
             let config = AnalysisConfig::default();
-            let warm = analyze_incremental(&ir, &config, Some(&snap)).expect("warm analysis");
+            let warm = analyze_incremental(&ir, &config, Some(Prior::Snapshot(&snap)))
+                .expect("warm analysis");
             let WarmMode::Warm { ref dirty, .. } = warm.mode else {
                 panic!("expected a warm start, got {:?}\n{src}", warm.mode);
             };
@@ -97,7 +100,8 @@ fn incremental_after_single_function_edit_matches_cold() {
         let snap = parse(&serialize(&snap)).expect("snapshot must round-trip");
         let ir = pta_simple::compile(&mutated).unwrap();
         let config = AnalysisConfig::default();
-        let inc = analyze_incremental(&ir, &config, Some(&snap)).expect("incremental analysis");
+        let inc = analyze_incremental(&ir, &config, Some(Prior::Snapshot(&snap)))
+            .expect("incremental analysis");
         // The stale snapshot may warm-start (with a dirty set) or be
         // rejected outright; either way the facts must match cold.
         if let WarmMode::Warm { ref dirty, .. } = inc.mode {
@@ -144,6 +148,29 @@ fn snapshot_codec_is_a_fixed_point() {
                 text,
                 "serialize∘parse is not a fixed point:\n{src}"
             );
+        },
+    );
+}
+
+#[test]
+fn memory_and_disk_warm_starts_agree() {
+    let mut case = 0u32;
+    check_seeded(
+        "store-memory-vs-disk",
+        pta_prop::DEFAULT_SEED,
+        16,
+        &mut |g| {
+            let src = source_for(g, case);
+            case += 1;
+            let Some(mutated) = perturb_source(&src) else {
+                return;
+            };
+            if pta_simple::compile(&mutated).is_err() || cold_facts(&src).is_none() {
+                return;
+            }
+            if let Err(e) = pta_prop::warm::edit_chain([&src, &mutated], 3) {
+                panic!("{e}:\n{src}");
+            }
         },
     );
 }

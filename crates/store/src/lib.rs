@@ -9,12 +9,14 @@
 //! - [`Snapshot::build`] / [`save`] / [`load`] / [`verify`] move facts
 //!   between the engine and disk; the [`format`] module defines the
 //!   text encoding (header, schema version, payload checksum).
-//! - [`warm_start`] validates a snapshot against a (possibly edited)
-//!   program and harvests every *clean* memoized context pair — one
-//!   whose entire invocation subtree only touches functions with
-//!   unchanged fingerprints — as warm seeds.
+//! - [`warm_start`] validates a [`Prior`] run against a (possibly
+//!   edited) program and harvests every *clean* memoized context pair —
+//!   one whose entire invocation subtree only touches functions with
+//!   unchanged fingerprints — as warm seeds. The prior is either a
+//!   parsed snapshot or a run still in memory (its result plus a
+//!   [`RunMemo`]); one harvest serves both.
 //! - [`analyze_incremental`] is the drop-in entry point: warm when the
-//!   snapshot is usable, and a graceful cold run (never a failure) on
+//!   prior is usable, and a graceful cold run (never a failure) on
 //!   any [`StoreError`] — missing file, corruption, foreign version,
 //!   changed skeleton or configuration.
 //! - [`canonical_facts`] renders results at the *name* level so that a
@@ -48,8 +50,8 @@ pub use tenant::{Router, TenantCache, TenantEngine, TenantSpec};
 
 use pta_cfront::ast::FuncId;
 use pta_core::analysis::{
-    analyze_recorded, analyze_seeded, AnalysisConfig, AnalysisError, AnalysisResult, EngineRun,
-    WarmPair, WarmSeeds, WarmStart,
+    analyze_recorded, analyze_seeded, AnalysisConfig, AnalysisError, AnalysisResult, Capture,
+    EngineRun, WarmPair, WarmSeeds, WarmStart,
 };
 use pta_core::fingerprint;
 use pta_core::invocation_graph::{IgKind, IgNode, IgNodeId, InvocationGraph};
@@ -57,6 +59,7 @@ use pta_core::location::{LocBase, LocId, LocationTable};
 use pta_core::points_to_set::{Def, PtSet};
 use pta_lint::Diagnostic;
 use pta_simple::{CallSiteId, IrProgram, StmtId};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -441,7 +444,7 @@ pub fn reload_result(snap: &Snapshot) -> Result<AnalysisResult, StoreError> {
     })
 }
 
-/// What [`warm_start`] decided about a usable snapshot.
+/// What [`warm_start`] decided about a usable prior run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmInfo {
     /// Names of functions whose fingerprint changed (re-analysed cold).
@@ -450,55 +453,124 @@ pub struct WarmInfo {
     pub pairs: usize,
 }
 
-/// Validates a snapshot against a (possibly edited) program and
-/// harvests warm seeds: the preloaded location table (refreshed for
-/// dirty functions) plus every memoized context pair whose entire
-/// invocation subtree is clean.
+/// What a resident run keeps for a later warm start besides its
+/// [`AnalysisResult`]: the fingerprints it was built under and its
+/// per-node captures. Together with the result it holds everything a
+/// snapshot of the run would, apart from the lint rows.
+#[derive(Debug, Clone)]
+pub struct RunMemo {
+    /// [`fingerprint::skeleton`] of the analysed program.
+    pub skeleton: u64,
+    /// [`fingerprint::config`] of the run's configuration.
+    pub config: u64,
+    /// [`fingerprint::function`] of every function, indexed by id.
+    pub functions: Vec<u64>,
+    /// [`EngineRun::node_captures`] of the run.
+    pub captures: BTreeMap<u32, std::sync::Arc<Capture>>,
+}
+
+impl RunMemo {
+    /// The memo of a finished run of `ir` under `config`, taking over
+    /// its captures.
+    pub fn new(
+        ir: &IrProgram,
+        config: &AnalysisConfig,
+        captures: BTreeMap<u32, std::sync::Arc<Capture>>,
+    ) -> RunMemo {
+        RunMemo {
+            skeleton: fingerprint::skeleton(ir),
+            config: fingerprint::config(config),
+            functions: (0..ir.functions.len() as u32)
+                .map(|f| fingerprint::function(ir, FuncId(f)))
+                .collect(),
+            captures,
+        }
+    }
+}
+
+/// The prior run a warm start harvests from.
+#[derive(Debug, Clone, Copy)]
+pub enum Prior<'a> {
+    /// A parsed snapshot: locations and graph are replayed from its
+    /// rows ([`rebuild_locs`], [`rebuild_ig`]).
+    Snapshot(&'a Snapshot),
+    /// A run still in memory: its location table is cloned and its
+    /// graph borrowed.
+    Resident(&'a AnalysisResult, &'a RunMemo),
+}
+
+impl<'a> From<&'a Snapshot> for Prior<'a> {
+    fn from(snap: &'a Snapshot) -> Self {
+        Prior::Snapshot(snap)
+    }
+}
+
+/// Validates a prior run against a (possibly edited) program and
+/// harvests warm seeds: the prior's location table (refreshed for dirty
+/// functions) plus every memoized context pair whose entire invocation
+/// subtree is clean. Both forms of [`Prior`] go through the same checks
+/// and the same harvest, so they yield the same seeds.
 ///
 /// # Errors
 ///
 /// [`StoreError::Skeleton`] / [`StoreError::Config`] when the program
 /// shape or configuration changed (dense ids would be meaningless), or
 /// [`StoreError::Corrupt`] for internal inconsistencies.
-pub fn warm_start(
+pub fn warm_start<'a>(
     ir: &IrProgram,
     config: &AnalysisConfig,
-    snap: &Snapshot,
+    prior: impl Into<Prior<'a>>,
 ) -> Result<(WarmStart, WarmInfo), StoreError> {
-    if snap.skeleton != fingerprint::skeleton(ir) {
+    let prior = prior.into();
+    let corrupt = |msg: &str| StoreError::Corrupt {
+        line: 0,
+        msg: msg.to_owned(),
+    };
+    let (skeleton, config_fp, prints): (u64, u64, Vec<(u32, u64)>) = match prior {
+        Prior::Snapshot(snap) => (
+            snap.skeleton,
+            snap.config,
+            snap.functions.iter().map(|r| (r.func, r.fp)).collect(),
+        ),
+        Prior::Resident(_, memo) => (
+            memo.skeleton,
+            memo.config,
+            (0..).zip(memo.functions.iter().copied()).collect(),
+        ),
+    };
+    if skeleton != fingerprint::skeleton(ir) {
         return Err(StoreError::Skeleton);
     }
-    if snap.config != fingerprint::config(config) {
+    if config_fp != fingerprint::config(config) {
         return Err(StoreError::Config);
     }
-    if snap.functions.len() != ir.functions.len() {
-        return Err(StoreError::Corrupt {
-            line: 0,
-            msg: "function rows do not cover the program".to_owned(),
-        });
+    if prints.len() != ir.functions.len() {
+        return Err(corrupt("function rows do not cover the program"));
     }
     let mut dirty: BTreeSet<FuncId> = BTreeSet::new();
-    for row in &snap.functions {
-        if row.func as usize >= ir.functions.len() {
-            return Err(StoreError::Corrupt {
-                line: 0,
-                msg: "function row out of range".to_owned(),
-            });
+    for (func, fp) in prints {
+        if func as usize >= ir.functions.len() {
+            return Err(corrupt("function row out of range"));
         }
-        if fingerprint::function(ir, FuncId(row.func)) != row.fp {
-            dirty.insert(FuncId(row.func));
+        if fingerprint::function(ir, FuncId(func)) != fp {
+            dirty.insert(FuncId(func));
         }
     }
-    let mut locs = rebuild_locs(snap)?;
+    let (mut locs, ig, captures) = match prior {
+        Prior::Snapshot(snap) => (
+            rebuild_locs(snap)?,
+            Cow::Owned(rebuild_ig(snap)?),
+            &snap.captures,
+        ),
+        Prior::Resident(result, memo) => (
+            result.locs.clone(),
+            Cow::Borrowed(&result.ig),
+            &memo.captures,
+        ),
+    };
     locs.refresh_for(ir, &dirty);
-    let ig = rebuild_ig(snap)?;
-    for &node in snap.captures.keys() {
-        if node as usize >= snap.nodes.len() {
-            return Err(StoreError::Corrupt {
-                line: 0,
-                msg: "capture references an unknown node".to_owned(),
-            });
-        }
+    if captures.keys().any(|&node| node as usize >= ig.len()) {
+        return Err(corrupt("capture references an unknown node"));
     }
     let mut seeds = WarmSeeds::default();
     let mut pairs = 0;
@@ -509,7 +581,7 @@ pub fn warm_start(
         let Some(input) = &node.stored_input else {
             continue;
         };
-        let Some(cap) = snap.captures.get(&id.0) else {
+        let Some(cap) = captures.get(&id.0) else {
             continue;
         };
         if !cap.complete {
@@ -546,9 +618,9 @@ pub fn warm_start(
 /// Why an incremental run fell back to a cold analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ColdReason {
-    /// No snapshot was offered.
+    /// No prior run was offered (no snapshot, or an unreadable one).
     NoSnapshot,
-    /// The snapshot was unusable (corrupt, foreign version, changed
+    /// The prior run was unusable (corrupt, foreign version, changed
     /// skeleton or configuration, …).
     Store(StoreError),
 }
@@ -556,13 +628,13 @@ pub enum ColdReason {
 /// How an incremental run actually executed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WarmMode {
-    /// Seeded from a snapshot.
+    /// Seeded from a prior run.
     Warm {
         /// Memo hits served from warm seeds.
         seed_hits: usize,
         /// Dirty (re-analysed) function names.
         dirty: Vec<String>,
-        /// Pairs harvested from the snapshot.
+        /// Pairs harvested from the prior run.
         pairs: usize,
     },
     /// Full cold analysis.
@@ -578,14 +650,15 @@ pub struct IncrementalRun {
     pub mode: WarmMode,
 }
 
-/// Analyses `ir`, warmed from `snap` when possible. Every store-level
-/// problem — no snapshot, corruption, foreign version, changed skeleton
-/// or configuration — degrades to a cold recorded run; the analysis
+/// Analyses `ir`, warmed from `prior` when possible. Every store-level
+/// problem — no prior, corruption, foreign version, changed skeleton or
+/// configuration — degrades to a cold recorded run; the analysis
 /// itself is the only thing that can fail.
 ///
 /// The correctness contract (pinned by the tier-1 tests): the result is
 /// byte-identical, at the fact level ([`canonical_facts`]), to a cold
-/// run of the same program under the same configuration.
+/// run of the same program under the same configuration, and identical
+/// at the id level ([`run_divergence`]) whichever form the prior takes.
 ///
 /// # Errors
 ///
@@ -593,7 +666,7 @@ pub struct IncrementalRun {
 pub fn analyze_incremental(
     ir: &IrProgram,
     config: &AnalysisConfig,
-    snap: Option<&Snapshot>,
+    prior: Option<Prior<'_>>,
 ) -> Result<IncrementalRun, AnalysisError> {
     let cold = |reason: ColdReason| -> Result<IncrementalRun, AnalysisError> {
         Ok(IncrementalRun {
@@ -601,10 +674,10 @@ pub fn analyze_incremental(
             mode: WarmMode::Cold(reason),
         })
     };
-    let Some(snap) = snap else {
+    let Some(prior) = prior else {
         return cold(ColdReason::NoSnapshot);
     };
-    match warm_start(ir, config, snap) {
+    match warm_start(ir, config, prior) {
         Ok((warm, info)) => {
             let run = analyze_seeded(ir, config.clone(), warm, true)?;
             let seed_hits = run.seed_hits;

@@ -12,12 +12,33 @@
 //!   finish against the old `Arc` (it drains), new requests see the
 //!   new facts ([`Shared`]'s contract).
 //!
-//! Builds reuse the `store` pipeline unchanged: warm from the snapshot
-//! when it is usable, degrade to a cold analysis on any corruption, and
-//! save the fresh snapshot back. Staleness is detected by file stamps
-//! (length + mtime) on *both* the source and the store file; the stamp
-//! is taken after the save-back so the server's own write never looks
-//! like an external change.
+//! Builds reuse the `store` pipeline: warm from a prior run when one is
+//! usable, degrade to a cold analysis on any corruption, and save the
+//! fresh snapshot back. Staleness is detected by file stamps (length +
+//! mtime) on *both* the source and the store file; the stamp is taken
+//! after the save-back so the server's own write never looks like an
+//! external change.
+//!
+//! Where the prior run comes from:
+//!
+//! - A reload after which only the source stamp moved warms from the
+//!   resident run: the old engine's result (locations cloned, graph
+//!   borrowed) plus the [`RunMemo`] — fingerprints and per-node
+//!   captures — that the tenant's last *reload* build kept. The
+//!   snapshot on disk is then exactly what the server wrote from that
+//!   run, so it is not read. The memo is freed as soon as the analysis
+//!   is done, before lint, the snapshot build and the save.
+//! - Every other build reads the snapshot: start-up and LRU-miss builds
+//!   (which keep no memo, so a tenant that is never edited costs no
+//!   more than its engine — a memo is about as large as the snapshot
+//!   file), the first reload after one, a reload after the store stamp
+//!   moved (another writer), and demand tenants. Eviction drops the
+//!   memo with the tenant.
+//!
+//! A failed build (unreadable source, front-end or analysis error) is
+//! remembered with the stamps it saw and answered in-band, without a
+//! rebuild, until a stamp moves; a failed reload puts back the memo it
+//! took, so the fixing edit still warms from memory.
 //!
 //! The [`Router`] is the request-level face of the cache: it resolves
 //! each request's `"program"` field (optional when a single tenant is
@@ -27,8 +48,8 @@
 use crate::demand::DemandEngine;
 use crate::json::{self, escape as json_str, Json};
 use crate::serve::{QueryMetrics, ServeEngine};
-use crate::{analyze_incremental, ColdReason, WarmMode};
-use pta_core::{AnalysisConfig, Pta, ServeEvent, Shared};
+use crate::{analyze_incremental, ColdReason, Prior, RunMemo, WarmMode};
+use pta_core::{AnalysisConfig, AnalysisResult, Pta, ServeEvent, Shared};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -111,10 +132,22 @@ struct Resident {
     store_stamp: FileStamp,
     /// LRU clock value of the last touch.
     tick: u64,
+    /// The captures and fingerprints of the last *reload* build, which
+    /// together with the resident result warm the next reload without
+    /// reading the snapshot back. Startup and LRU-miss builds keep none.
+    memo: Option<RunMemo>,
+}
+
+/// A build that failed, answered from memory until a stamp moves.
+struct Failure {
+    source_stamp: FileStamp,
+    store_stamp: FileStamp,
+    msg: String,
 }
 
 struct CacheState {
     resident: Vec<(usize, Resident)>, // spec index -> resident entry
+    failures: Vec<(usize, Failure)>,  // spec index -> last failed build
     clock: u64,
     builds: u64,
     evictions: u64,
@@ -148,6 +181,7 @@ impl TenantCache {
             demand: false,
             state: Mutex::new(CacheState {
                 resident: Vec::new(),
+                failures: Vec::new(),
                 clock: 0,
                 builds: 0,
                 evictions: 0,
@@ -168,7 +202,8 @@ impl TenantCache {
         self.specs.iter().map(|s| s.name.as_str()).collect()
     }
 
-    /// How many tenant builds (initial loads + reloads) have run.
+    /// How many tenant builds (initial loads + reloads, failed ones
+    /// included) have run.
     pub fn build_count(&self) -> u64 {
         self.state.lock().expect("tenant cache lock").builds
     }
@@ -210,7 +245,28 @@ impl TenantCache {
         let store_stamp = stamp(&spec.store);
         state.clock += 1;
         let clock = state.clock;
-        if let Some((_, r)) = state.resident.iter_mut().find(|(i, _)| *i == idx) {
+        // A failed build is not retried until its files change: every
+        // request would otherwise recompile under this lock.
+        if let Some(pos) = state.failures.iter().position(|(i, _)| *i == idx) {
+            let f = &state.failures[pos].1;
+            if f.source_stamp == source_stamp && f.store_stamp == store_stamp {
+                return Err(f.msg.clone());
+            }
+            state.failures.remove(pos);
+        }
+        let failed = |state: &mut CacheState, msg: String| {
+            state.failures.push((
+                idx,
+                Failure {
+                    source_stamp,
+                    store_stamp,
+                    msg: msg.clone(),
+                },
+            ));
+            msg
+        };
+        if let Some(pos) = state.resident.iter().position(|(i, _)| *i == idx) {
+            let r = &mut state.resident[pos].1;
             r.tick = clock;
             if r.source_stamp == source_stamp && r.store_stamp == store_stamp {
                 return Ok(r.handle.load());
@@ -218,38 +274,55 @@ impl TenantCache {
             // Stale on disk: rebuild and swap. In-flight queries keep
             // their old `Arc`; the swap is what new queries observe.
             let old = r.handle.load();
-            let built = build_tenant(spec, &self.config, self.budget, self.demand)?;
+            // Only the source moved: the resident run is exactly what
+            // the server last saved, so it warms the rebuild. Any other
+            // change means an outside writer, and the disk is read.
+            let mut memo = r.memo.take().filter(|_| r.store_stamp == store_stamp);
+            let result = match &old.engine {
+                TenantEngine::Full(e) => Some(&e.pta().result),
+                TenantEngine::Demand(_) => None,
+            };
+            state.builds += 1;
+            let reload = result.map(|r| (r, &mut memo));
+            let built = match build_tenant(spec, &self.config, self.budget, self.demand, reload) {
+                Ok(built) => built,
+                Err(msg) => {
+                    // Put the memo back, so the fixing edit still warms
+                    // from memory.
+                    state.resident[pos].1.memo = memo;
+                    return Err(failed(&mut state, msg));
+                }
+            };
             // Demand engines carry cached sliced analyses across the
             // reload: slices whose functions are untouched answer warm,
             // only dirty slices re-analyse.
             if let (TenantEngine::Demand(new), TenantEngine::Demand(prev)) =
-                (&built.engine, &old.engine)
+                (&built.tenant.engine, &old.engine)
             {
                 new.carry_from(prev);
             }
-            state.builds += 1;
             ServeEvent::Reload {
                 program: spec.name.clone(),
-                mode: built.mode.clone(),
+                mode: built.tenant.mode.clone(),
             }
             .emit();
-            let r = state
-                .resident
-                .iter_mut()
-                .find(|(i, _)| *i == idx)
-                .expect("entry still resident");
+            let r = &mut state.resident[pos].1;
             // Stamp *after* the build's save-back, so our own snapshot
             // write does not read as another external change.
-            r.1.source_stamp = stamp(&spec.source);
-            r.1.store_stamp = stamp(&spec.store);
-            let shared = Arc::new(built);
-            r.1.handle.swap_arc(Arc::clone(&shared));
+            r.source_stamp = stamp(&spec.source);
+            r.store_stamp = stamp(&spec.store);
+            r.memo = built.memo;
+            let shared = Arc::new(built.tenant);
+            r.handle.swap_arc(Arc::clone(&shared));
             return Ok(shared);
         }
         // Miss: build, insert, evict past capacity.
-        let built = build_tenant(spec, &self.config, self.budget, self.demand)?;
         state.builds += 1;
-        let handle = Arc::new(Shared::new(built));
+        let built = match build_tenant(spec, &self.config, self.budget, self.demand, None) {
+            Ok(built) => built,
+            Err(msg) => return Err(failed(&mut state, msg)),
+        };
+        let handle = Arc::new(Shared::new(built.tenant));
         let loaded = handle.load();
         state.resident.push((
             idx,
@@ -258,6 +331,7 @@ impl TenantCache {
                 source_stamp: stamp(&spec.source),
                 store_stamp: stamp(&spec.store),
                 tick: clock,
+                memo: None,
             },
         ));
         while state.resident.len() > self.capacity {
@@ -279,43 +353,58 @@ impl TenantCache {
     }
 }
 
-/// Analyses one tenant through the incremental pipeline: warm from its
-/// snapshot when usable, cold on any store-level problem, and save the
-/// fresh snapshot back (best effort).
+/// A finished tenant build, with the memo a reload build keeps for the
+/// next one.
+struct Built {
+    tenant: LoadedTenant,
+    memo: Option<RunMemo>,
+}
+
+/// Analyses one tenant through the incremental pipeline: warm from a
+/// prior run when one is usable, cold on any store-level problem, and
+/// save the fresh snapshot back (best effort).
+///
+/// `reload` is set when the build replaces a resident exhaustive run:
+/// it holds that run's result and the slot of the memo its own build
+/// kept. With a memo in the slot the prior is the resident run and the
+/// snapshot is not read; the memo is freed as soon as the analysis is
+/// done (and left in place if the build fails). A reload build returns
+/// its own memo for the next reload; other builds keep none.
 fn build_tenant(
     spec: &TenantSpec,
     config: &AnalysisConfig,
     budget: Option<Duration>,
     demand: bool,
-) -> Result<LoadedTenant, String> {
+    reload: Option<(&AnalysisResult, &mut Option<RunMemo>)>,
+) -> Result<Built, String> {
     let source = std::fs::read_to_string(&spec.source)
         .map_err(|e| format!("cannot read `{}`: {e}", spec.source.display()))?;
     let ir = pta_simple::compile(&source).map_err(|e| format!("`{}`: {e}", spec.name))?;
     if demand {
-        return Ok(build_demand_tenant(spec, config, budget, ir));
+        return Ok(Built {
+            tenant: build_demand_tenant(spec, config, budget, ir),
+            memo: None,
+        });
     }
-    let snap = match crate::load(&spec.store) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            // A fault here (corruption, torn read, injected failure)
-            // costs the warm start, never the answer: the build below
-            // degrades to a cold run.
-            if spec.store.exists() {
-                ServeEvent::Degraded {
-                    program: spec.name.clone(),
-                    stage: "load".to_owned(),
-                    reason: e.to_string(),
-                }
-                .emit();
-            }
-            None
-        }
+    let retain = reload.is_some();
+    let resident = match &reload {
+        Some((result, Some(memo))) => Some(Prior::Resident(result, memo)),
+        _ => None,
     };
-    let inc = analyze_incremental(&ir, config, snap.as_ref())
-        .map_err(|e| format!("`{}`: {e}", spec.name))?;
-    // The old snapshot is spent: free it before lint and the new
-    // snapshot's build and save, so a reload never holds both.
+    let snap = if resident.is_some() {
+        None
+    } else {
+        load_or_degrade(spec)
+    };
+    let prior = resident.or(snap.as_ref().map(Prior::Snapshot));
+    let inc =
+        analyze_incremental(&ir, config, prior).map_err(|e| format!("`{}`: {e}", spec.name))?;
+    // The prior is spent: free it before lint and the new snapshot's
+    // build and save, so a reload never holds both.
     drop(snap);
+    if let Some((_, memo)) = reload {
+        *memo = None;
+    }
     let mode = match &inc.mode {
         WarmMode::Warm {
             seed_hits, dirty, ..
@@ -354,6 +443,8 @@ fn build_tenant(
         .emit();
         eprintln!("pta serve: cannot write snapshot for `{}`: {e}", spec.name);
     }
+    drop(rebuilt);
+    let memo = retain.then(|| RunMemo::new(&ir, config, inc.run.node_captures));
     let engine = ServeEngine::new(
         Pta {
             ir,
@@ -363,11 +454,34 @@ fn build_tenant(
     )
     .with_budget(budget)
     .with_program(&spec.name);
-    Ok(LoadedTenant {
-        name: spec.name.clone(),
-        engine: TenantEngine::Full(engine),
-        mode,
+    Ok(Built {
+        tenant: LoadedTenant {
+            name: spec.name.clone(),
+            engine: TenantEngine::Full(engine),
+            mode,
+        },
+        memo,
     })
+}
+
+/// Reads the tenant's snapshot. A fault here (corruption, torn read,
+/// injected failure) costs the warm start, never the answer: the build
+/// degrades to a cold run.
+fn load_or_degrade(spec: &TenantSpec) -> Option<crate::Snapshot> {
+    match crate::load(&spec.store) {
+        Ok(s) => Some(s),
+        Err(e) => {
+            if spec.store.exists() {
+                ServeEvent::Degraded {
+                    program: spec.name.clone(),
+                    stage: "load".to_owned(),
+                    reason: e.to_string(),
+                }
+                .emit();
+            }
+            None
+        }
+    }
 }
 
 /// A demand-driven tenant: compile now, analyse per query. The
@@ -382,30 +496,20 @@ fn build_demand_tenant(
     budget: Option<Duration>,
     ir: pta_simple::IrProgram,
 ) -> LoadedTenant {
-    let name = spec.name.clone();
-    let store = spec.store.clone();
+    let builder_spec = spec.clone();
     let builder_ir = ir.clone();
     let builder_config = config.clone();
     let engine = DemandEngine::new(ir, config.clone())
         .with_budget(budget)
         .with_program(&spec.name)
         .with_exhaustive_builder(Box::new(move || {
-            let snap = match crate::load(&store) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    if store.exists() {
-                        ServeEvent::Degraded {
-                            program: name.clone(),
-                            stage: "load".to_owned(),
-                            reason: e.to_string(),
-                        }
-                        .emit();
-                    }
-                    None
-                }
-            };
-            let inc = analyze_incremental(&builder_ir, &builder_config, snap.as_ref())
-                .map_err(|e| format!("`{name}`: {e}"))?;
+            let snap = load_or_degrade(&builder_spec);
+            let inc = analyze_incremental(
+                &builder_ir,
+                &builder_config,
+                snap.as_ref().map(Prior::Snapshot),
+            )
+            .map_err(|e| format!("`{}`: {e}", builder_spec.name))?;
             drop(snap);
             let mode = match &inc.mode {
                 WarmMode::Warm {
@@ -648,6 +752,192 @@ mod tests {
 
     fn pta_store_verify_ok(text: &str) -> bool {
         crate::verify(text).is_ok()
+    }
+
+    fn has_memo(router: &Router, idx: usize) -> bool {
+        let state = router.cache().state.lock().unwrap();
+        state
+            .resident
+            .iter()
+            .any(|(i, r)| *i == idx && r.memo.is_some())
+    }
+
+    /// Overwrites a file with garbage of the same length and puts its
+    /// mtime back, so its stamp does not move: a build that still reads
+    /// it goes cold.
+    fn corrupt_keeping_stamp(path: &Path) {
+        let meta = std::fs::metadata(path).unwrap();
+        std::fs::write(path, vec![b'#'; meta.len() as usize]).unwrap();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_modified(meta.modified().unwrap())
+            .unwrap();
+        assert_eq!(stamp(path), Some((meta.len(), meta.modified().unwrap())));
+    }
+
+    // Two versions of one program (same skeleton, different lengths so
+    // the stamp moves on any clock).
+    const PROG_X: &str = "int x, z; int main(void) { int *p; p = &x; return *p; }";
+    const PROG_Z: &str = "int x, z; int main(void) { int *p; p = &z; return *p;  }";
+    const BROKEN: &str = "int main(void) { return }";
+    const Q_P: &str = r#"{"id":1,"op":"points-to","func":"main","var":"p"}"#;
+
+    #[test]
+    fn source_only_reloads_warm_from_the_resident_run() {
+        let dir = tmpdir("resident");
+        let spec = write_tenant(&dir, "a", PROG_X);
+        let (src, store) = (spec.source.clone(), spec.store.clone());
+        let router = Router::new(TenantCache::new(
+            vec![spec],
+            4,
+            AnalysisConfig::default(),
+            None,
+        ));
+        let _ = router.handle_text(Q_P);
+        assert!(!has_memo(&router, 0), "startup builds keep no memo");
+        std::fs::write(&src, PROG_Z).unwrap();
+        let (r, _) = router.handle_text(Q_P);
+        assert!(r.contains("\"name\":\"z\""), "{r}");
+        assert!(has_memo(&router, 0), "reload builds keep their memo");
+        // The snapshot is garbage now, but its stamp says the server
+        // wrote it: the next source edit must not read it.
+        corrupt_keeping_stamp(&store);
+        std::fs::write(&src, PROG_X).unwrap();
+        let t = router.cache().resolve(None).unwrap();
+        assert!(t.mode.starts_with("warm start ("), "{}", t.mode);
+        let (r, _) = router.handle_text(Q_P);
+        assert!(r.contains("\"name\":\"x\""), "{r}");
+        assert!(crate::verify(&std::fs::read_to_string(&store).unwrap()).is_ok());
+        // A store change the server did not make drops the memo: the
+        // reload reads the (again corrupt) file and goes cold.
+        std::fs::write(&store, "not a snapshot").unwrap();
+        std::fs::write(&src, PROG_Z).unwrap();
+        let t = router.cache().resolve(None).unwrap();
+        assert!(t.mode.starts_with("cold start ("), "{}", t.mode);
+        assert_eq!(router.cache().build_count(), 4);
+    }
+
+    #[test]
+    fn memory_and_disk_reloads_save_the_same_bytes() {
+        let dir = tmpdir("same-bytes");
+        let spec = write_tenant(&dir, "a", PROG_X);
+        let (src, store) = (spec.source.clone(), spec.store.clone());
+        let router = Router::new(TenantCache::new(
+            vec![spec.clone()],
+            4,
+            AnalysisConfig::default(),
+            None,
+        ));
+        let _ = router.handle_text(Q_P);
+        std::fs::write(&src, PROG_Z).unwrap();
+        let _ = router.handle_text(Q_P);
+        let before_edit = std::fs::read(&store).unwrap();
+        std::fs::write(&src, PROG_X).unwrap();
+        let _ = router.handle_text(Q_P); // warm from memory
+                                         // The same edit, warmed from the snapshot on disk by a fresh cache.
+        let disk_dir = dir.join("disk");
+        std::fs::create_dir_all(&disk_dir).unwrap();
+        let disk_spec = TenantSpec {
+            store: disk_dir.join("a.ptas"),
+            ..spec
+        };
+        std::fs::write(&disk_spec.store, &before_edit).unwrap();
+        let disk = TenantCache::new(vec![disk_spec.clone()], 4, AnalysisConfig::default(), None);
+        let t = disk.resolve(None).unwrap();
+        assert!(t.mode.starts_with("warm start ("), "{}", t.mode);
+        assert_eq!(
+            std::fs::read(&disk_spec.store).unwrap(),
+            std::fs::read(&store).unwrap()
+        );
+    }
+
+    #[test]
+    fn eviction_drops_the_memo() {
+        let dir = tmpdir("evict-memo");
+        let a = write_tenant(&dir, "a", PROG_X);
+        let b = write_tenant(&dir, "b", PROG_B);
+        let (src, store) = (a.source.clone(), a.store.clone());
+        let router = Router::new(TenantCache::new(
+            vec![a, b],
+            1,
+            AnalysisConfig::default(),
+            None,
+        ));
+        let q_a = r#"{"program":"a","op":"points-to","func":"main","var":"p"}"#;
+        let q_b = r#"{"program":"b","op":"points-to","func":"main","var":"q"}"#;
+        let _ = router.handle_text(q_a);
+        std::fs::write(&src, PROG_Z).unwrap();
+        let _ = router.handle_text(q_a);
+        assert!(has_memo(&router, 0));
+        let _ = router.handle_text(q_b); // capacity 1: evicts `a`
+        let _ = router.handle_text(q_a); // miss: reads the snapshot
+        assert!(!has_memo(&router, 0), "a miss build keeps no memo");
+        // With no memo the next reload reads the disk, and finds it
+        // corrupt.
+        corrupt_keeping_stamp(&store);
+        std::fs::write(&src, PROG_X).unwrap();
+        let t = router.cache().resolve(Some("a")).unwrap();
+        assert!(t.mode.starts_with("cold start ("), "{}", t.mode);
+    }
+
+    #[test]
+    fn a_failed_build_is_attempted_once_per_change() {
+        let dir = tmpdir("storm");
+        let spec = write_tenant(&dir, "a", PROG_X);
+        let (src, store) = (spec.source.clone(), spec.store.clone());
+        let router = Router::new(TenantCache::new(
+            vec![spec],
+            4,
+            AnalysisConfig::default(),
+            None,
+        ));
+        let (r0, _) = router.handle_text(Q_P);
+        std::fs::write(&src, PROG_Z).unwrap();
+        let _ = router.handle_text(Q_P);
+        assert!(has_memo(&router, 0));
+        let builds = router.cache().build_count();
+        std::fs::write(&src, BROKEN).unwrap();
+        let mut errors = Vec::new();
+        for _ in 0..5 {
+            let (r, m) = router.handle_text(Q_P);
+            assert!(!m[0].ok, "{r}");
+            errors.push(r);
+        }
+        assert!(errors.iter().all(|e| e == &errors[0]), "{errors:?}");
+        assert_eq!(router.cache().build_count(), builds + 1, "one attempt");
+        assert!(has_memo(&router, 0), "the failed build put the memo back");
+        // The fixing edit warms from memory: the disk copy is garbage.
+        corrupt_keeping_stamp(&store);
+        std::fs::write(&src, PROG_X).unwrap();
+        let t = router.cache().resolve(None).unwrap();
+        assert!(t.mode.starts_with("warm start ("), "{}", t.mode);
+        let (r, _) = router.handle_text(Q_P);
+        assert_eq!(r, r0);
+        assert_eq!(router.cache().build_count(), builds + 2);
+    }
+
+    #[test]
+    fn a_failed_first_load_is_attempted_once_per_change() {
+        let dir = tmpdir("storm-first");
+        let spec = write_tenant(&dir, "a", BROKEN);
+        let src = spec.source.clone();
+        let router = Router::new(TenantCache::new(
+            vec![spec],
+            4,
+            AnalysisConfig::default(),
+            None,
+        ));
+        for _ in 0..5 {
+            let (r, m) = router.handle_text(Q_P);
+            assert!(!m[0].ok, "{r}");
+        }
+        assert_eq!(router.cache().build_count(), 1);
+        std::fs::write(&src, PROG_X).unwrap();
+        let (r, _) = router.handle_text(Q_P);
+        assert!(r.contains("\"name\":\"x\""), "{r}");
+        assert_eq!(router.cache().build_count(), 2);
     }
 
     #[test]

@@ -72,3 +72,20 @@ fn large_generated_programs_reproduce_the_pinned_facts() {
     }
     assert_eq!(got, want, "digest file covers the same programs");
 }
+
+#[test]
+fn memory_and_disk_warm_starts_agree_on_large_programs() {
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(|| {
+            for (name, src) in programs() {
+                let mutated = pta_store::perturb_source(&src).expect("generated programs return");
+                let warm = pta_prop::warm::edit_chain([&src, &mutated], 3)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(warm, 3, "{name}: every edit must warm-start");
+            }
+        })
+        .expect("spawn")
+        .join()
+        .expect("no divergence");
+}

@@ -1,8 +1,9 @@
 //! Tier-1 fault-injection guarantees: every numbered fault in the save
 //! path leaves an old-or-new loadable snapshot on disk (never a torn
 //! one), injected load faults degrade an incremental run to a cold run
-//! with identical facts, and a seeded chaos run of the hardened server
-//! comes back clean with store faults armed.
+//! with identical facts, a server reload after a source-only edit never
+//! reads the store, and a seeded chaos run of the hardened server comes
+//! back clean with store faults armed.
 //!
 //! Fault arming is process-global (`pta_store::fault`), so every test
 //! that arms a plan holds [`FAULT_LOCK`] for its whole body. The unit
@@ -12,7 +13,9 @@ use pta_core::analysis::AnalysisConfig;
 use pta_core::Fidelity;
 use pta_lint::{lint_ir, LintOptions};
 use pta_store::fault::{self, FaultPlan};
-use pta_store::{analyze_incremental, canonical_facts, load, save, serialize, Snapshot, WarmMode};
+use pta_store::{
+    analyze_incremental, canonical_facts, load, save, serialize, Prior, Snapshot, WarmMode,
+};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
@@ -93,6 +96,71 @@ fn every_save_fault_point_leaves_an_old_or_new_loadable_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two versions of one program: same skeleton, different targets and
+/// lengths (so the source stamp moves on any clock).
+const TO_X: &str = "int x, z; int main(void) { int *p; p = &x; return *p; }";
+const TO_Z: &str = "int x, z; int main(void) { int *p; p = &z; return *p;  }";
+
+#[test]
+fn source_only_reloads_never_read_the_store() {
+    use pta_store::{Router, TenantCache, TenantSpec};
+    let _guard = fault_lock();
+    fault::disarm();
+    let dir = scratch("resident-reload");
+    let src = dir.join("prog.c");
+    std::fs::write(&src, TO_X).expect("write source");
+    let spec = TenantSpec::from_source(&src, &dir);
+    let store = spec.store.clone();
+    let router = Router::new(TenantCache::new(
+        vec![spec],
+        2,
+        AnalysisConfig::default(),
+        None,
+    ));
+    let query = r#"{"id":1,"op":"points-to","func":"main","var":"p"}"#;
+    let points_to = |name: &str| format!("\"name\":\"{name}\"");
+    let edit = |source: &str| {
+        std::fs::write(&src, source).expect("edit source");
+        router.cache().resolve(None).expect("reload")
+    };
+    let _ = router.handle_text(query);
+    // The first reload reads the snapshot the start-up build saved; it
+    // keeps its captures for the next one.
+    assert!(edit(TO_Z).mode.starts_with("warm start ("));
+    // Armed, a read of the store fails. A source-only reload warms from
+    // the resident run, so the plan never fires and no load degrades.
+    fault::arm(FaultPlan::parse("6").expect("valid plan"));
+    let t = edit(TO_X);
+    assert!(fault::is_armed(), "a source-only reload read the store");
+    assert!(t.mode.ends_with(", 1 dirty functions)"), "{}", t.mode);
+    assert!(t.mode.starts_with("warm start ("), "{}", t.mode);
+    let (r, _) = router.handle_text(query);
+    assert!(r.contains(&points_to("x")), "{r}");
+    // An outside rewrite of the snapshot (same bytes, new mtime) moves
+    // the store stamp: the reload reads the disk, the plan fires, the
+    // load degrades (`serve-degraded`, stage `load`, since the file
+    // exists) and the build goes cold with the right answer.
+    let bytes = std::fs::read(&store).expect("read snapshot");
+    let mtime = std::fs::metadata(&store)
+        .and_then(|m| m.modified())
+        .expect("mtime");
+    std::fs::write(&store, &bytes).expect("rewrite snapshot");
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&store)
+        .and_then(|f| f.set_modified(mtime + std::time::Duration::from_secs(2)))
+        .expect("move the snapshot's mtime");
+    let t = edit(TO_Z);
+    assert!(!fault::is_armed(), "the outside rewrite was not read back");
+    fault::disarm();
+    assert!(store.exists());
+    assert_eq!(t.mode, "cold start (NoSnapshot)");
+    let (r, _) = router.handle_text(query);
+    assert!(r.contains(&points_to("z")), "{r}");
+    assert!(pta_store::verify(&std::fs::read_to_string(&store).expect("snapshot")).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn injected_load_faults_degrade_to_a_cold_run_with_identical_facts() {
     let _guard = fault_lock();
@@ -115,7 +183,8 @@ fn injected_load_faults_degrade_to_a_cold_run_with_identical_facts() {
             loaded.is_err(),
             "plan {spec}: injected load fault must surface"
         );
-        let inc = analyze_incremental(&ir, &config, loaded.ok().as_ref()).expect("degraded run");
+        let inc = analyze_incremental(&ir, &config, loaded.ok().as_ref().map(Prior::Snapshot))
+            .expect("degraded run");
         assert!(
             matches!(inc.mode, WarmMode::Cold(_)),
             "plan {spec}: expected a cold fallback, got {:?}",
@@ -128,7 +197,8 @@ fn injected_load_faults_degrade_to_a_cold_run_with_identical_facts() {
         );
     }
     // Disarmed, the same snapshot warms the run again.
-    let warm = analyze_incremental(&ir, &config, load(&path).ok().as_ref()).expect("warm run");
+    let warm = analyze_incremental(&ir, &config, load(&path).ok().as_ref().map(Prior::Snapshot))
+        .expect("warm run");
     assert!(
         matches!(warm.mode, WarmMode::Warm { .. }),
         "clean reload should warm-start, got {:?}",

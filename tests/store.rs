@@ -12,7 +12,7 @@ use pta_prop::{check, Rng};
 use pta_store::format::{dec_ptset, dec_ptset_canonical, dec_ptset_general, enc_ptset};
 use pta_store::{
     analyze_incremental, canonical_facts, parse, perturb_source, serialize, verify, ColdReason,
-    Snapshot, StoreError, WarmMode,
+    Prior, Snapshot, StoreError, WarmMode,
 };
 use std::path::Path;
 
@@ -45,7 +45,12 @@ fn warm_replay_of_unchanged_suite_is_byte_identical() {
         // exactly what a file would hold.
         let snap = parse(&serialize(&snap)).expect("round-trip parses");
         let cold = analyze_recorded(&ir, AnalysisConfig::default()).unwrap();
-        let inc = analyze_incremental(&ir, &AnalysisConfig::default(), Some(&snap)).unwrap();
+        let inc = analyze_incremental(
+            &ir,
+            &AnalysisConfig::default(),
+            Some(Prior::Snapshot(&snap)),
+        )
+        .unwrap();
         match &inc.mode {
             WarmMode::Warm {
                 seed_hits, dirty, ..
@@ -89,7 +94,12 @@ fn single_function_edit_matches_cold_run_on_every_benchmark() {
         };
         let ir2 = pta_simple::compile(&mutated).expect("mutated benchmark compiles");
         let cold = analyze_recorded(&ir2, AnalysisConfig::default()).unwrap();
-        let inc = analyze_incremental(&ir2, &AnalysisConfig::default(), Some(&snap)).unwrap();
+        let inc = analyze_incremental(
+            &ir2,
+            &AnalysisConfig::default(),
+            Some(Prior::Snapshot(&snap)),
+        )
+        .unwrap();
         match &inc.mode {
             WarmMode::Warm { dirty, .. } => {
                 assert_eq!(dirty.len(), 1, "{}: exactly one function edited", b.name);
@@ -108,6 +118,16 @@ fn single_function_edit_matches_cold_run_on_every_benchmark() {
             "{}: lint differs after edit",
             b.name
         );
+    }
+}
+
+#[test]
+fn memory_and_disk_warm_starts_agree_on_every_benchmark() {
+    for b in SUITE {
+        let mutated = perturb_source(b.source).expect("every benchmark returns");
+        let warm = pta_prop::warm::edit_chain([b.source, &mutated], 3)
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        assert_eq!(warm, 3, "{}: every edit must warm-start", b.name);
     }
 }
 
@@ -169,7 +189,7 @@ fn version_config_and_skeleton_mismatches_fall_back_cold() {
         pta_store::warm_start(&ir, &other, &snap),
         Err(StoreError::Config)
     ));
-    let inc = analyze_incremental(&ir, &other, Some(&snap)).unwrap();
+    let inc = analyze_incremental(&ir, &other, Some(Prior::Snapshot(&snap))).unwrap();
     assert!(matches!(
         inc.mode,
         WarmMode::Cold(ColdReason::Store(StoreError::Config))
@@ -178,7 +198,12 @@ fn version_config_and_skeleton_mismatches_fall_back_cold() {
     // Changed skeleton (new global): same story.
     let grown = format!("int __pta_new_global;\n{}", b.source);
     let ir3 = pta_simple::compile(&grown).unwrap();
-    let inc = analyze_incremental(&ir3, &AnalysisConfig::default(), Some(&snap)).unwrap();
+    let inc = analyze_incremental(
+        &ir3,
+        &AnalysisConfig::default(),
+        Some(Prior::Snapshot(&snap)),
+    )
+    .unwrap();
     assert!(matches!(
         inc.mode,
         WarmMode::Cold(ColdReason::Store(StoreError::Skeleton))
