@@ -12,15 +12,17 @@
 //!   basis for the ALPHA IR construction and dependence testing);
 //! - [`mod@call_graph`] — the function-level call multigraph extracted from
 //!   the invocation graph (with resolved function-pointer targets).
+//!
+//! Every client reads the finished `AnalysisResult` through a shared
+//! reference, except [`rw_sets`] (its module docs say why).
+//! NULL-dereference findings are `pta-lint`'s `null-deref` check.
 
 pub mod alias_pairs;
 pub mod call_graph;
-pub mod null_check;
 pub mod pointer_replace;
 pub mod rw_sets;
 
 pub use alias_pairs::{alias_pairs_at, AliasPair};
 pub use call_graph::{call_graph, CallGraph};
-pub use null_check::{null_derefs, NullDeref, NullSeverity};
 pub use pointer_replace::{replaceable_refs, Replacement};
 pub use rw_sets::{function_rw_sets, modref_summaries, stmt_rw_sets, RwSets};

@@ -8,8 +8,8 @@
 //! summary location.
 
 use pta_core::stats::{collect_indirect_refs, IndirectRef};
-use pta_core::{AnalysisResult, Def, LocId};
-use pta_simple::{IrProgram, StmtId, VarRef};
+use pta_core::{AnalysisResult, Def, FactQuery, LocId, Proj};
+use pta_simple::{IdxClass, IrProgram, IrProj, StmtId, VarRef};
 
 /// One applicable replacement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,8 +22,6 @@ pub struct Replacement {
     pub indirect: String,
     /// The direct location name that can replace it.
     pub direct: String,
-    /// The location replaced with.
-    pub target: LocId,
 }
 
 impl std::fmt::Display for Replacement {
@@ -38,70 +36,56 @@ impl std::fmt::Display for Replacement {
 
 /// Finds every indirect reference replaceable by a direct reference
 /// under the definite points-to information.
-pub fn replaceable_refs(ir: &IrProgram, result: &mut AnalysisResult) -> Vec<Replacement> {
-    let mut out = Vec::new();
-    for occ in collect_indirect_refs(ir) {
-        if let Some(rep) = replacement_for(ir, result, &occ) {
-            out.push(rep);
-        }
-    }
-    out
+pub fn replaceable_refs(ir: &IrProgram, result: &AnalysisResult) -> Vec<Replacement> {
+    let q = FactQuery::new(ir, result);
+    collect_indirect_refs(ir)
+        .iter()
+        .filter_map(|occ| replacement_for(&q, occ))
+        .collect()
 }
 
-fn replacement_for(
-    ir: &IrProgram,
-    result: &mut AnalysisResult,
-    occ: &IndirectRef,
-) -> Option<Replacement> {
+fn replacement_for(q: &FactQuery<'_>, occ: &IndirectRef) -> Option<Replacement> {
     let VarRef::Deref { path, shift, after } = &occ.r else {
         return None;
     };
     // Only plain `*p` / `(*p).f` shapes replace cleanly.
-    if *shift != pta_simple::IdxClass::Zero {
+    if *shift != IdxClass::Zero {
         return None;
     }
-    let set = result.at(occ.stmt);
-    let ptr_locs = {
-        let mut env = pta_core::lvalue::RefEnv {
-            ir,
-            func: occ.func,
-            locs: &mut result.locs,
-        };
-        env.path_locs(path)
-    };
+    let locs = &q.result.locs;
+    let set = q.at(occ.stmt);
+    let ptr_locs = q.path_locs(occ.func, path);
     // The pointer itself must be a single definite location.
-    if ptr_locs.len() != 1 || ptr_locs[0].1 != Def::D {
+    let [(ptr, Def::D)] = ptr_locs[..] else {
         return None;
-    }
+    };
     let targets: Vec<(LocId, Def)> = set
-        .targets(ptr_locs[0].0)
-        .filter(|(t, _)| !result.locs.is_null(*t))
+        .targets(ptr)
+        .filter(|(t, _)| !locs.is_null(*t))
         .collect();
     let [(t, Def::D)] = targets[..] else {
         return None;
     };
-    if result.locs.is_symbolic(t) || result.locs.is_heap(t) || result.locs.is_summary(t) {
+    if locs.is_symbolic(t) || locs.is_heap(t) || locs.is_summary(t) {
         return None;
     }
-    // Apply the post-deref projections to name the replacement.
-    let mut tgt = t;
-    for p in after {
-        let proj = match p {
-            pta_simple::IrProj::Field(f) => pta_core::Proj::Field(f.clone()),
-            pta_simple::IrProj::Index(pta_simple::IdxClass::Zero) => pta_core::Proj::Head,
-            pta_simple::IrProj::Index(_) => return None,
-        };
-        tgt = result.locs.project(tgt, &proj, ir)?;
-    }
-    let func_name = ir.function(occ.func).name.clone();
-    let f = ir.function(occ.func);
-    let indirect = pta_simple::printer::ref_str(ir, f, &occ.r);
+    // Name the post-deref projections without interning: the engine
+    // makes no `t.f` row for a non-pointer field read through `(*p).f`.
+    let projs = after
+        .iter()
+        .map(|p| match p {
+            IrProj::Field(f) => Some(Proj::Field(f.clone())),
+            IrProj::Index(IdxClass::Zero) => Some(Proj::Head),
+            IrProj::Index(_) => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let direct = locs.projected_name(t, &projs, q.ir)?;
+    let f = q.ir.function(occ.func);
     Some(Replacement {
-        function: func_name,
+        function: f.name.clone(),
         stmt: occ.stmt,
-        indirect,
-        direct: result.locs.name(tgt).to_owned(),
-        target: tgt,
+        indirect: pta_simple::printer::ref_str(q.ir, f, &occ.r),
+        direct,
     })
 }
 
@@ -110,8 +94,8 @@ mod tests {
     use super::*;
 
     fn run(src: &str) -> Vec<Replacement> {
-        let mut t = pta_core::run_source(src).expect("analysis ok");
-        replaceable_refs(&t.ir.clone(), &mut t.result)
+        let t = pta_core::run_source(src).expect("analysis ok");
+        replaceable_refs(&t.ir, &t.result)
     }
 
     #[test]

@@ -4,10 +4,19 @@
 //! For every basic statement, the locations it may/must read and write,
 //! resolved through the points-to information (so `*p = x` writes p's
 //! targets, not `p`).
+//!
+//! Unlike the other clients, these functions take `&mut AnalysisResult`:
+//! the sets name scalar storage (an `int` variable, a field read
+//! through a pointer) that the engine never interns, because no
+//! points-to pair mentions it, so resolution interns it into the
+//! result's table. Giving such storage ids without touching the table
+//! is the open question of a lint-side location domain (ROADMAP item 3,
+//! `DomainLoc`).
 
-use pta_core::points_to_set::Def;
-use pta_core::{AnalysisResult, LocId};
-use pta_simple::{BasicStmt, CallTarget, IrProgram, Operand, StmtId, VarRef};
+use pta_cfront::ast::FuncId;
+use pta_core::lvalue::RefEnv;
+use pta_core::{AnalysisResult, Def, LocId, PtSet};
+use pta_simple::{BasicStmt, CallTarget, IrProgram, Operand, StmtId, VarPath, VarRef};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Read and write sets of one statement (or one function).
@@ -71,119 +80,99 @@ pub fn function_rw_sets(ir: &IrProgram, result: &mut AnalysisResult) -> BTreeMap
 fn basic_rw(
     ir: &IrProgram,
     result: &mut AnalysisResult,
-    func: pta_cfront::ast::FuncId,
+    func: FuncId,
     b: &BasicStmt,
     id: StmtId,
 ) -> RwSets {
-    let set = result.at(id);
-    let mut rw = RwSets::default();
-    let write = |result: &mut AnalysisResult, rw: &mut RwSets, r: &VarRef| {
-        let ls = {
-            let mut env = pta_core::lvalue::RefEnv {
-                ir,
-                func,
-                locs: &mut result.locs,
-            };
-            env.l_locations(&set, r)
-        };
-        if let [(l, Def::D)] = ls[..] {
-            rw.must_writes.insert(l);
-        }
-        for (l, _) in ls {
-            rw.writes.insert(l);
-        }
-    };
-    let read_ref = |result: &mut AnalysisResult, rw: &mut RwSets, r: &VarRef| {
-        // Reading a reference reads its L-locations (the cells named),
-        // and reading through a pointer also reads the pointer itself.
-        if let VarRef::Deref { path, .. } = r {
-            let pl = {
-                let mut env = pta_core::lvalue::RefEnv {
-                    ir,
-                    func,
-                    locs: &mut result.locs,
-                };
-                env.path_locs(path)
-            };
-            for (l, _) in pl {
-                rw.reads.insert(l);
-            }
-        }
-        let ls = {
-            let mut env = pta_core::lvalue::RefEnv {
-                ir,
-                func,
-                locs: &mut result.locs,
-            };
-            env.l_locations(&set, r)
-        };
-        for (l, _) in ls {
-            rw.reads.insert(l);
-        }
-    };
-    let read_op = |result: &mut AnalysisResult, rw: &mut RwSets, op: &Operand| {
-        match op {
-            Operand::Ref(r) => read_ref(result, rw, r),
-            // &x reads nothing (it only forms an address), but a deref
-            // inside still reads the pointer.
-            Operand::AddrOf(VarRef::Deref { path, .. }) => {
-                let pl = {
-                    let mut env = pta_core::lvalue::RefEnv {
-                        ir,
-                        func,
-                        locs: &mut result.locs,
-                    };
-                    env.path_locs(path)
-                };
-                for (l, _) in pl {
-                    rw.reads.insert(l);
-                }
-            }
-            _ => {}
-        }
+    let mut c = Collector {
+        set: result.at(id),
+        env: RefEnv {
+            ir,
+            func,
+            locs: &mut result.locs,
+        },
+        rw: RwSets::default(),
     };
     match b {
-        BasicStmt::Copy { lhs, rhs } => {
-            read_op(result, &mut rw, rhs);
-            write(result, &mut rw, lhs);
-        }
-        BasicStmt::Unary { lhs, rhs, .. } => {
-            read_op(result, &mut rw, rhs);
-            write(result, &mut rw, lhs);
+        BasicStmt::Copy { lhs, rhs } | BasicStmt::Unary { lhs, rhs, .. } => {
+            c.read_op(rhs);
+            c.write(lhs);
         }
         BasicStmt::Binary { lhs, a, b, .. } => {
-            read_op(result, &mut rw, a);
-            read_op(result, &mut rw, b);
-            write(result, &mut rw, lhs);
+            c.read_op(a);
+            c.read_op(b);
+            c.write(lhs);
         }
         BasicStmt::PtrArith { lhs, ptr, .. } => {
-            read_ref(result, &mut rw, ptr);
-            write(result, &mut rw, lhs);
+            c.read_ref(ptr);
+            c.write(lhs);
         }
         BasicStmt::Alloc { lhs, size } => {
-            read_op(result, &mut rw, size);
-            write(result, &mut rw, lhs);
+            c.read_op(size);
+            c.write(lhs);
         }
         BasicStmt::Call {
             lhs, target, args, ..
         } => {
             if let CallTarget::Indirect(r) = target {
-                read_ref(result, &mut rw, r);
+                c.read_ref(r);
             }
             for a in args {
-                read_op(result, &mut rw, a);
+                c.read_op(a);
             }
             if let Some(l) = lhs {
-                write(result, &mut rw, l);
+                c.write(l);
             }
         }
         BasicStmt::Return(v) => {
             if let Some(v) = v {
-                read_op(result, &mut rw, v);
+                c.read_op(v);
             }
         }
     }
-    rw
+    c.rw
+}
+
+/// The read/write sets of one statement under its points-to set.
+struct Collector<'a> {
+    set: PtSet,
+    env: RefEnv<'a>,
+    rw: RwSets,
+}
+
+impl Collector<'_> {
+    fn write(&mut self, r: &VarRef) {
+        let ls = self.env.l_locations(&self.set, r);
+        if let [(l, Def::D)] = ls[..] {
+            self.rw.must_writes.insert(l);
+        }
+        self.rw.writes.extend(ls.into_iter().map(|(l, _)| l));
+    }
+
+    /// Reading a reference reads its L-locations (the cells named),
+    /// and reading through a pointer also reads the pointer itself.
+    fn read_ref(&mut self, r: &VarRef) {
+        if let VarRef::Deref { path, .. } = r {
+            self.read_pointer(path);
+        }
+        let ls = self.env.l_locations(&self.set, r);
+        self.rw.reads.extend(ls.into_iter().map(|(l, _)| l));
+    }
+
+    fn read_pointer(&mut self, path: &VarPath) {
+        let pl = self.env.path_locs(path);
+        self.rw.reads.extend(pl.into_iter().map(|(l, _)| l));
+    }
+
+    fn read_op(&mut self, op: &Operand) {
+        match op {
+            Operand::Ref(r) => self.read_ref(r),
+            // &x reads nothing (it only forms an address), but a deref
+            // inside still reads the pointer.
+            Operand::AddrOf(VarRef::Deref { path, .. }) => self.read_pointer(path),
+            _ => {}
+        }
+    }
 }
 
 /// Transitive interprocedural MOD/REF summaries: each function's sets

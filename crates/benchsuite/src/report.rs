@@ -165,12 +165,12 @@ fn suite_job(b: Benchmark, config: AnalysisConfig, profile: bool) -> Result<Anal
         Some(m) => pta_core::analyze_resilient_traced(&ir, config, m)?,
         None => pta_core::analyze_resilient(&ir, config)?,
     };
-    let mut analysed = Analysed {
+    let analysed = Analysed {
         bench: b,
         ir,
         result: outcome.result,
     };
-    let stats = stats::compute(b.name, b.source, &analysed.ir, &mut analysed.result);
+    let stats = stats::compute(b.name, b.source, &analysed.ir, &analysed.result);
     let lint = pta_lint::lint_ir(
         &analysed.ir,
         &analysed.result,
@@ -821,11 +821,11 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
         || andersen(&ir),
         || steensgaard(&ir),
     );
-    let mut result = cs_r?;
-    let cs = stats::table3(b.name, &ir, &mut result).avg();
+    let result = cs_r?;
+    let cs = stats::table3(b.name, &ir, &result).avg();
 
     let ins = ins_r?;
-    let mut ins_result = pta_core::AnalysisResult {
+    let ins_result = pta_core::AnalysisResult {
         locs: ins.locs,
         ig: result.ig.clone(),
         per_stmt: ins.per_stmt,
@@ -834,13 +834,13 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
         escapes: Vec::new(),
         prune: Default::default(),
     };
-    let ci = stats::table3(b.name, &ir, &mut ins_result).avg();
-    let t3_ins = stats::table3(b.name, &ir, &mut ins_result);
+    let ci = stats::table3(b.name, &ir, &ins_result).avg();
+    let t3_ins = stats::table3(b.name, &ir, &ins_result);
 
     let and = and_r?;
     // Andersen has one global solution: count average targets directly.
     let an = {
-        let mut and_result = pta_core::AnalysisResult {
+        let and_result = pta_core::AnalysisResult {
             locs: and.locs,
             ig: result.ig.clone(),
             per_stmt: {
@@ -856,7 +856,7 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
             escapes: Vec::new(),
             prune: Default::default(),
         };
-        stats::table3(b.name, &ir, &mut and_result).avg()
+        stats::table3(b.name, &ir, &and_result).avg()
     };
 
     let st = st_r?;
@@ -869,7 +869,7 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
                 sol.insert(s, t, Def::P);
             }
         }
-        let mut st_result = pta_core::AnalysisResult {
+        let st_result = pta_core::AnalysisResult {
             locs: st.locs,
             ig: result.ig.clone(),
             per_stmt: {
@@ -884,10 +884,10 @@ pub fn ablation_one_jobs(b: Benchmark, jobs: usize) -> Result<AblationRow, PtaEr
             escapes: Vec::new(),
             prune: Default::default(),
         };
-        stats::table3(b.name, &ir, &mut st_result).avg()
+        stats::table3(b.name, &ir, &st_result).avg()
     };
 
-    let t3_cs = stats::table3(b.name, &ir, &mut result);
+    let t3_cs = stats::table3(b.name, &ir, &result);
     let pct = |t: &stats::Table3Row| {
         if t.ind_refs == 0 {
             0.0
@@ -1073,14 +1073,14 @@ pub fn heap_site_ablation_jobs(jobs: usize) -> Result<Vec<HeapSiteRow>, PtaError
     let names = ["hash", "misr", "xref", "sim", "dry", "compress"];
     par_map(jobs, &names, |name| {
         let b = crate::benchmark(name).expect("known benchmark");
-        let mut base = analyse(b)?;
-        let single = stats::table3(b.name, &base.ir, &mut base.result).avg();
+        let base = analyse(b)?;
+        let single = stats::table3(b.name, &base.ir, &base.result).avg();
         let cfg = pta_core::AnalysisConfig {
             heap_sites: true,
             ..Default::default()
         };
-        let mut sited = crate::analyse_with(b, cfg)?;
-        let with_sites = stats::table3(b.name, &sited.ir, &mut sited.result).avg();
+        let sited = crate::analyse_with(b, cfg)?;
+        let with_sites = stats::table3(b.name, &sited.ir, &sited.result).avg();
         let sites = sited
             .result
             .locs

@@ -26,6 +26,8 @@
 //! merged points-to set at every program point. `--deadline` and
 //! `--budget` bound the analysis; when a bound trips, the run degrades
 //! to a cheaper engine and the summary reports the fidelity.
+//! NULL-dereference findings come from `pta lint` (check `null-deref`).
+//! A usage error exits 2, as in every subcommand.
 //!
 //! `pta lint` runs the diagnostics passes (see the `pta-lint` crate)
 //! and exits 0 when clean, 1 when any error-severity finding or file
@@ -52,7 +54,7 @@
 //! per-function profile, and `--scrub-timings` zeroes every timing
 //! field for byte-identical golden streams.
 
-use pta_apps::{alias_pairs_at, call_graph, null_derefs, replaceable_refs};
+use pta_apps::{alias_pairs_at, call_graph, replaceable_refs};
 use pta_core::{stats, AnalysisConfig};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -68,7 +70,6 @@ struct Options {
     tables: bool,
     warnings: bool,
     dot: bool,
-    null: bool,
     config: AnalysisConfig,
 }
 
@@ -84,7 +85,6 @@ fn parse_args() -> Result<Options, String> {
         tables: false,
         warnings: false,
         dot: false,
-        null: false,
         config: AnalysisConfig::default(),
     };
     let mut argv = std::env::args().skip(1);
@@ -99,7 +99,6 @@ fn parse_args() -> Result<Options, String> {
             "--tables" => o.tables = true,
             "--warnings" => o.warnings = true,
             "--dot" => o.dot = true,
-            "--null" => o.null = true,
             "--deadline" => {
                 let ms: u64 = parse_value(&mut argv, "--deadline")?;
                 o.config.deadline = Some(Duration::from_millis(ms));
@@ -145,7 +144,7 @@ fn parse_memo(argv: &mut impl Iterator<Item = String>) -> Result<pta_core::MemoS
 
 fn usage() -> String {
     "usage: pta <file.c> [--simple] [--points-to] [--ig] [--call-graph] \
-     [--aliases] [--replace] [--tables] [--warnings] [--dot] [--null] \
+     [--aliases] [--replace] [--tables] [--warnings] [--dot] \
      [--deadline MS] [--budget N] [--memo node|program]"
         .to_owned()
 }
@@ -1018,7 +1017,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let file = opts.file.as_deref().expect("checked in parse_args");
@@ -1029,7 +1028,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (mut pta, fidelity, degradations) =
+    let (pta, fidelity, degradations) =
         match pta_core::run_source_resilient(&source, opts.config.clone()) {
             Ok(r) => r,
             Err(e) => {
@@ -1086,15 +1085,13 @@ fn main() -> ExitCode {
     }
     if opts.replace {
         println!("== Replaceable indirect references ==");
-        let ir = pta.ir.clone();
-        for r in replaceable_refs(&ir, &mut pta.result) {
+        for r in replaceable_refs(&pta.ir, &pta.result) {
             println!("{r}");
         }
         println!();
     }
     if opts.tables {
-        let ir = pta.ir.clone();
-        let all = stats::compute(file, &source, &ir, &mut pta.result);
+        let all = stats::compute(file, &source, &pta.ir, &pta.result);
         println!("== Statistics ==");
         println!(
             "lines {} | SIMPLE stmts {} | abstract stack {}..{}",
@@ -1117,18 +1114,6 @@ fn main() -> ExitCode {
             all.t6.recursive,
             all.t6.approximate
         );
-        println!();
-    }
-    if opts.null {
-        println!("== NULL dereference findings ==");
-        let ir = pta.ir.clone();
-        let findings = null_derefs(&ir, &mut pta.result);
-        if findings.is_empty() {
-            println!("(none)");
-        }
-        for f in findings {
-            println!("{f}");
-        }
         println!();
     }
     if opts.dot {

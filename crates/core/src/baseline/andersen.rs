@@ -86,9 +86,12 @@ pub fn andersen_budgeted(
         for (fid, f) in ir.functions.iter().enumerate() {
             let func = FuncId(fid as u32);
             let Some(body) = &f.body else { continue };
-            body.for_each_basic(&mut |b, _| {
-                apply_stmt(ir, func, &mut locs, &mut solution, b);
-            });
+            let mut env = RefEnv {
+                ir,
+                func,
+                locs: &mut locs,
+            };
+            body.for_each_basic(&mut |b, _| apply_stmt(&mut env, &mut solution, b));
         }
         if solution == before {
             break;
@@ -101,41 +104,25 @@ pub fn andersen_budgeted(
     })
 }
 
-fn apply_stmt(
-    ir: &IrProgram,
-    func: FuncId,
-    locs: &mut LocationTable,
-    sol: &mut PtSet,
-    b: &BasicStmt,
-) {
+fn apply_stmt(env: &mut RefEnv<'_>, sol: &mut PtSet, b: &BasicStmt) {
+    let (ir, func) = (env.ir, env.func);
     match b {
         BasicStmt::Copy { lhs, rhs } => {
-            let (l, r) = {
-                let mut env = RefEnv { ir, func, locs };
-                (env.l_locations(sol, lhs), env.operand_r_locations(sol, rhs))
-            };
+            let (l, r) = (env.l_locations(sol, lhs), env.operand_r_locations(sol, rhs));
             gen_only(sol, &l, &r);
         }
         BasicStmt::PtrArith { lhs, ptr, shift } => {
-            let (l, r) = {
-                let mut env = RefEnv { ir, func, locs };
-                let l = env.l_locations(sol, lhs);
-                let base = env.r_locations(sol, ptr);
-                let mut r = Vec::new();
-                for (t, _) in base {
-                    for (t2, _) in env.shift_loc(t, *shift) {
-                        r.push((t2, Def::P));
-                    }
+            let l = env.l_locations(sol, lhs);
+            let mut r = Vec::new();
+            for (t, _) in env.r_locations(sol, ptr) {
+                for (t2, _) in env.shift_loc(t, *shift) {
+                    r.push((t2, Def::P));
                 }
-                (l, r)
-            };
+            }
             gen_only(sol, &l, &r);
         }
         BasicStmt::Alloc { lhs, .. } => {
-            let (l, heap) = {
-                let mut env = RefEnv { ir, func, locs };
-                (env.l_locations(sol, lhs), env.locs.heap())
-            };
+            let (l, heap) = (env.l_locations(sol, lhs), env.locs.heap());
             gen_only(sol, &l, &[(heap, Def::P)]);
         }
         BasicStmt::Call {
@@ -143,27 +130,19 @@ fn apply_stmt(
         } => {
             let callees: Vec<FuncId> = match target {
                 CallTarget::Direct(f) => vec![*f],
-                CallTarget::Indirect(r) => {
-                    let targets = {
-                        let mut env = RefEnv { ir, func, locs };
-                        env.r_locations(sol, r)
-                    };
-                    targets
-                        .into_iter()
-                        .filter_map(|(t, _)| locs.as_function(t))
-                        .collect()
-                }
+                CallTarget::Indirect(r) => env
+                    .r_locations(sol, r)
+                    .into_iter()
+                    .filter_map(|(t, _)| env.locs.as_function(t))
+                    .collect(),
             };
             for callee in callees {
-                apply_call(ir, func, locs, sol, callee, lhs.as_ref(), args);
+                apply_call(env, sol, callee, lhs.as_ref(), args);
             }
         }
         BasicStmt::Return(Some(v)) if ir.function(func).ret.carries_pointers(&ir.structs) => {
-            let ret = locs.ret(ir, func);
-            let r = {
-                let mut env = RefEnv { ir, func, locs };
-                env.operand_r_locations(sol, v)
-            };
+            let ret = env.locs.ret(ir, func);
+            let r = env.operand_r_locations(sol, v);
             gen_only(sol, &[(ret, Def::P)], &r);
         }
         _ => {}
@@ -171,35 +150,26 @@ fn apply_stmt(
 }
 
 fn apply_call(
-    ir: &IrProgram,
-    func: FuncId,
-    locs: &mut LocationTable,
+    env: &mut RefEnv<'_>,
     sol: &mut PtSet,
     callee: FuncId,
     lhs: Option<&pta_simple::VarRef>,
     args: &[Operand],
 ) {
+    let ir = env.ir;
     if !ir.function(callee).is_defined() {
         let name = &ir.function(callee).name;
         match extern_effect(name) {
             Some(ExternEffect::ReturnsHeap) => {
                 if let Some(lhs) = lhs {
-                    let (l, heap) = {
-                        let mut env = RefEnv { ir, func, locs };
-                        (env.l_locations(sol, lhs), env.locs.heap())
-                    };
+                    let (l, heap) = (env.l_locations(sol, lhs), env.locs.heap());
                     gen_only(sol, &l, &[(heap, Def::P)]);
                 }
             }
             Some(ExternEffect::ReturnsFirstArg) => {
                 if let (Some(lhs), Some(arg0)) = (lhs, args.first()) {
-                    let (l, r) = {
-                        let mut env = RefEnv { ir, func, locs };
-                        (
-                            env.l_locations(sol, lhs),
-                            env.operand_r_locations(sol, arg0),
-                        )
-                    };
+                    let l = env.l_locations(sol, lhs);
+                    let r = env.operand_r_locations(sol, arg0);
                     gen_only(sol, &l, &r);
                 }
             }
@@ -210,24 +180,18 @@ fn apply_call(
     // Formal ⊇ actual.
     let n = ir.function(callee).n_params;
     for (i, arg) in args.iter().enumerate().take(n) {
-        let formal = locs.var(ir, callee, pta_simple::IrVarId(i as u32));
-        for leaf in ptr_leaves(locs, ir, formal) {
-            let r = {
-                let mut env = RefEnv { ir, func, locs };
-                env.operand_r_locations(sol, arg)
-            };
+        let formal = env.locs.var(ir, callee, pta_simple::IrVarId(i as u32));
+        for leaf in ptr_leaves(env.locs, ir, formal) {
+            let r = env.operand_r_locations(sol, arg);
             gen_only(sol, &[(leaf, Def::P)], &r);
         }
     }
     // lhs ⊇ return slot.
     if let Some(lhs) = lhs {
         if ir.function(callee).ret.carries_pointers(&ir.structs) {
-            let ret = locs.ret(ir, callee);
+            let ret = env.locs.ret(ir, callee);
             let r: Vec<(LocId, Def)> = sol.targets(ret).map(|(t, _)| (t, Def::P)).collect();
-            let l = {
-                let mut env = RefEnv { ir, func, locs };
-                env.l_locations(sol, lhs)
-            };
+            let l = env.l_locations(sol, lhs);
             gen_only(sol, &l, &r);
         }
     }

@@ -884,143 +884,6 @@ impl CallEffects {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Location-level facts for lint checks
-// ---------------------------------------------------------------------------
-
-/// A location a node reads, with the definiteness of the read
-/// (possible for reads through a possibly-pointing pointer or an
-/// unknown array index).
-pub type LocRead = (LocId, Def);
-
-/// Resolves every storage location a node *reads* under the merged
-/// facts `set` at its program point — direct reads, pointer reads of
-/// dereferences, and reads through pointers (Table 1 resolution via
-/// [`FactQuery`]). Only *interned* locations appear; see [`FnFacts`]
-/// for the syntactic path domain the lint checks use.
-pub fn node_reads(
-    q: &FactQuery<'_>,
-    func: FuncId,
-    node: &NodeKind<'_>,
-    set: &PtSet,
-) -> Vec<LocRead> {
-    fn push(out: &mut Vec<LocRead>, l: LocId, d: Def) {
-        for (el, ed) in out.iter_mut() {
-            if *el == l {
-                if *ed != d {
-                    *ed = Def::P;
-                }
-                return;
-            }
-        }
-        out.push((l, d));
-    }
-    fn read_ref(
-        out: &mut Vec<LocRead>,
-        q: &FactQuery<'_>,
-        func: FuncId,
-        set: &PtSet,
-        r: &VarRef,
-        read_value: bool,
-    ) {
-        match r {
-            VarRef::Path(p) => {
-                if read_value {
-                    for (l, d) in q.path_locs(func, p) {
-                        push(out, l, d);
-                    }
-                }
-            }
-            VarRef::Deref { path, .. } => {
-                for (l, d) in q.path_locs(func, path) {
-                    push(out, l, d); // the pointer itself
-                }
-                if read_value {
-                    for (l, d) in q.l_locations(func, set, r) {
-                        push(out, l, d); // the pointed-to storage
-                    }
-                }
-            }
-        }
-    }
-    fn read_op(out: &mut Vec<LocRead>, q: &FactQuery<'_>, func: FuncId, set: &PtSet, op: &Operand) {
-        match op {
-            Operand::Ref(r) => read_ref(out, q, func, set, r, true),
-            Operand::AddrOf(r) => read_ref(out, q, func, set, r, false),
-            Operand::Func(_) | Operand::Const(_) | Operand::Str(_) => {}
-        }
-    }
-    let mut out: Vec<LocRead> = Vec::new();
-    let read_ref = |out: &mut Vec<LocRead>, r: &VarRef, rv: bool| {
-        read_ref(out, q, func, set, r, rv);
-    };
-    let read_op = |out: &mut Vec<LocRead>, op: &Operand| read_op(out, q, func, set, op);
-    match node {
-        NodeKind::Basic(b, _) => {
-            if let Some(lhs) = basic_lhs(b) {
-                read_ref(&mut out, lhs, false); // a deref write reads the pointer
-            }
-            match b {
-                BasicStmt::Copy { rhs, .. } | BasicStmt::Unary { rhs, .. } => {
-                    read_op(&mut out, rhs)
-                }
-                BasicStmt::Binary { a, b, .. } => {
-                    read_op(&mut out, a);
-                    read_op(&mut out, b);
-                }
-                BasicStmt::PtrArith { ptr, .. } => read_ref(&mut out, ptr, true),
-                BasicStmt::Alloc { size, .. } => read_op(&mut out, size),
-                BasicStmt::Call { target, args, .. } => {
-                    if let CallTarget::Indirect(r) = target {
-                        read_ref(&mut out, r, true);
-                    }
-                    for a in args {
-                        read_op(&mut out, a);
-                    }
-                }
-                BasicStmt::Return(v) => {
-                    if let Some(v) = v {
-                        read_op(&mut out, v);
-                    }
-                }
-            }
-        }
-        NodeKind::Test(ops, _) => {
-            for op in ops {
-                read_op(&mut out, op);
-            }
-        }
-        _ => {}
-    }
-    out
-}
-
-/// The interned locations a node writes directly (its lhs), resolved
-/// under `set`. `Def::D` on a singleton non-summary location is a
-/// *strong* write (the engine would strong-kill there); everything
-/// else is weak.
-pub fn node_writes(
-    q: &FactQuery<'_>,
-    func: FuncId,
-    node: &NodeKind<'_>,
-    set: &PtSet,
-) -> Vec<(LocId, Def)> {
-    let NodeKind::Basic(b, _) = node else {
-        return Vec::new();
-    };
-    let Some(lhs) = basic_lhs(b) else {
-        return Vec::new();
-    };
-    let mut ls = q.l_locations(func, set, lhs);
-    let strong = ls.len() == 1 && ls[0].1 == Def::D && !q.result.locs.is_summary(ls[0].0);
-    if !strong {
-        for (_, d) in ls.iter_mut() {
-            *d = Def::P;
-        }
-    }
-    ls
-}
-
 /// Joint may/must initialization fact (forward).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InitFact {

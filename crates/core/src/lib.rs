@@ -73,7 +73,7 @@ pub use fingerprint::SCHEMA_VERSION;
 pub use invocation_graph::{
     FragmentNode, IgFragment, IgKind, IgNode, IgNodeId, IgStats, InvocationGraph, MapInfo,
 };
-pub use location::{LocBase, LocId, LocTable, LocationTable, Proj};
+pub use location::{LocBase, LocId, LocationTable, Proj};
 pub use points_to_set::{Def, Flow, PtSet};
 pub use query::FactQuery;
 pub use resilient::{analyze_resilient, analyze_resilient_traced, Fidelity, ResilientOutcome};
@@ -287,17 +287,9 @@ impl Pta {
     pub fn find_stmt(&self, func: &str, pattern: &str, n: usize) -> Option<StmtId> {
         let (_, f) = self.ir.function_by_name(func)?;
         let body = f.body.as_ref()?;
-        let mut found = Vec::new();
-        body.for_each_basic(&mut |b, id| {
-            let txt = pta_simple::printer::print_function(&self.ir, f);
-            let _ = (b, txt);
-            found.push(id);
-        });
-        // Re-walk with rendered text per statement for matching.
         let mut hits = Vec::new();
         body.for_each_basic(&mut |b, id| {
-            let s = render_basic(&self.ir, f, b);
-            if s.contains(pattern) {
+            if pta_simple::printer::basic_str(&self.ir, f, b).contains(pattern) {
                 hits.push(id);
             }
         });
@@ -322,19 +314,4 @@ impl Pta {
         v.sort();
         v
     }
-}
-
-fn render_basic(ir: &IrProgram, f: &pta_simple::IrFunction, b: &pta_simple::BasicStmt) -> String {
-    // Reuse the printer by wrapping the statement in a tiny tree.
-    let stmt = pta_simple::Stmt::Basic(b.clone(), StmtId(0));
-    let tmp = pta_simple::IrFunction {
-        name: f.name.clone(),
-        ret: f.ret.clone(),
-        n_params: f.n_params,
-        vars: f.vars.clone(),
-        body: Some(stmt),
-        variadic: f.variadic,
-        span: f.span,
-    };
-    pta_simple::printer::print_function(ir, &tmp)
 }

@@ -165,7 +165,7 @@ pub struct LocationTable {
 
 /// One projection step with a borrowed field name.
 #[derive(Clone, Copy)]
-enum Step<'a> {
+pub(crate) enum Step<'a> {
     Field(&'a str),
     Head,
     Tail,
@@ -181,19 +181,69 @@ impl<'a> From<&'a Proj> for Step<'a> {
     }
 }
 
+impl Step<'_> {
+    fn to_proj(self) -> Proj {
+        match self {
+            Step::Field(f) => Proj::Field(f.to_owned()),
+            Step::Head => Proj::Head,
+            Step::Tail => Proj::Tail,
+        }
+    }
+
+    /// The name of the child of a location named `parent`.
+    fn child_name(self, parent: &str) -> String {
+        match self {
+            Step::Field(f) => format!("{parent}.{f}"),
+            Step::Head => format!("{parent}[0]"),
+            Step::Tail => format!("{parent}[1..]"),
+        }
+    }
+
+    /// The projection slot of this step below a location of type `ty`
+    /// (0 head, 1 tail, 2 + i the i-th struct field) and the child's
+    /// type; `None` if the step does not type-check.
+    fn child_type<'t>(self, ty: &'t Type, ir: &'t IrProgram) -> Option<(u64, &'t Type)> {
+        match self {
+            Step::Head | Step::Tail => Some((matches!(self, Step::Tail) as u64, ty.elem()?)),
+            Step::Field(f) => {
+                let Type::Struct(sid) = ty else {
+                    return None;
+                };
+                let fields = &ir.structs.def(*sid).fields;
+                let i = fields.iter().position(|x| x.name == f)?;
+                Some((i as u64 + 2, &fields[i].ty))
+            }
+        }
+    }
+}
+
+/// The type and name of the location `projs` below one of type `ty`
+/// named `name`; `None` where a step does not type-check.
+fn descend<'t>(
+    mut ty: &'t Type,
+    name: &str,
+    projs: &[Proj],
+    ir: &'t IrProgram,
+) -> Option<(&'t Type, String)> {
+    let mut name = name.to_owned();
+    for p in projs {
+        let step = Step::from(p);
+        ty = step.child_type(ty, ir)?.1;
+        name = step.child_name(&name);
+    }
+    Some((ty, name))
+}
+
 /// What a projection resolves to without interning anything.
-enum Probe {
+enum Probe<'t> {
     /// The child location (cached, or the summary itself).
     Hit(LocId),
     /// The projection does not type-check (or the base is null/code).
     Fails,
     /// A valid projection not yet cached: its cache key and the
     /// child's type.
-    Miss { key: u64, ty: Type },
+    Miss { key: u64, ty: &'t Type },
 }
-
-/// Former name of [`LocationTable`], kept for downstream code.
-pub type LocTable = LocationTable;
 
 impl LocationTable {
     /// Creates an empty table.
@@ -363,6 +413,7 @@ impl LocationTable {
                 Probe::Hit(n) => n,
                 Probe::Fails => return Err(cur),
                 Probe::Miss { key, ty } => {
+                    let ty = ty.clone();
                     let p = self.data[path_of.0 as usize].projs[i].clone();
                     self.project_new(cur, (&p).into(), key, ty)
                 }
@@ -375,46 +426,64 @@ impl LocationTable {
         match self.probe(id, step, ir) {
             Probe::Hit(n) => Some(n),
             Probe::Fails => None,
-            Probe::Miss { key, ty } => Some(self.project_new(id, step, key, ty)),
+            Probe::Miss { key, ty } => {
+                let ty = ty.clone();
+                Some(self.project_new(id, step, key, ty))
+            }
         }
     }
 
+    /// What [`LocationTable::project`] would return, without interning:
+    /// `None` where it fails or where its child was never interned.
+    pub(crate) fn find_step(&self, id: LocId, step: Step<'_>, ir: &IrProgram) -> Option<LocId> {
+        match self.probe(id, step, ir) {
+            Probe::Hit(n) => Some(n),
+            Probe::Fails => None,
+            // A table rebuilt from a snapshot starts with an empty cache.
+            Probe::Miss { .. } => self.lookup_child(id, step),
+        }
+    }
+
+    fn lookup_child(&self, id: LocId, step: Step<'_>) -> Option<LocId> {
+        let d = &self.data[id.0 as usize];
+        let mut projs = d.projs.clone();
+        projs.push(step.to_proj());
+        self.lookup(&d.base, &projs)
+    }
+
+    /// The name [`LocationTable::project`] would give the location
+    /// `projs` below `id`, without interning it or any row on the way:
+    /// `None` where a step fails.
+    pub fn projected_name(&self, id: LocId, projs: &[Proj], ir: &IrProgram) -> Option<String> {
+        let mut cur = id;
+        for (i, p) in projs.iter().enumerate() {
+            match self.find_step(cur, p.into(), ir) {
+                Some(n) => cur = n,
+                None => {
+                    // Off the table (or ill-typed): follow the types.
+                    let d = self.get(cur);
+                    return descend(d.ty.as_ref()?, &d.name, &projs[i..], ir).map(|(_, name)| name);
+                }
+            }
+        }
+        Some(self.name(cur).to_owned())
+    }
+
     /// Resolves a projection as far as possible without interning.
-    fn probe(&self, id: LocId, step: Step<'_>, ir: &IrProgram) -> Probe {
+    fn probe<'t>(&'t self, id: LocId, step: Step<'_>, ir: &'t IrProgram) -> Probe<'t> {
         let d = &self.data[id.0 as usize];
         match d.base {
             LocBase::Heap | LocBase::HeapSite(_) | LocBase::StrLit => return Probe::Hit(id),
             LocBase::Null | LocBase::Function(_) => return Probe::Fails,
             _ => {}
         }
-        let Some(ty) = &d.ty else {
+        let Some((slot, ty)) = d.ty.as_ref().and_then(|ty| step.child_type(ty, ir)) else {
             return Probe::Fails;
-        };
-        let (slot, child_ty) = match step {
-            Step::Head | Step::Tail => {
-                let Some(elem) = ty.elem() else {
-                    return Probe::Fails;
-                };
-                (matches!(step, Step::Tail) as u64, elem)
-            }
-            Step::Field(f) => {
-                let Type::Struct(sid) = ty else {
-                    return Probe::Fails;
-                };
-                let fields = &ir.structs.def(*sid).fields;
-                let Some(i) = fields.iter().position(|x| x.name == f) else {
-                    return Probe::Fails;
-                };
-                (i as u64 + 2, &fields[i].ty)
-            }
         };
         let key = ((id.0 as u64) << 32) | slot;
         match self.proj_cache.get(&key) {
             Some(&child) => Probe::Hit(child),
-            None => Probe::Miss {
-                key,
-                ty: child_ty.clone(),
-            },
+            None => Probe::Miss { key, ty },
         }
     }
 
@@ -422,13 +491,9 @@ impl LocationTable {
     /// validated but found uncached, and caches it under `key`.
     fn project_new(&mut self, id: LocId, step: Step<'_>, key: u64, ty: Type) -> LocId {
         let d = &self.data[id.0 as usize];
-        let (proj, name) = match step {
-            Step::Field(f) => (Proj::Field(f.to_owned()), format!("{}.{f}", d.name)),
-            Step::Head => (Proj::Head, format!("{}[0]", d.name)),
-            Step::Tail => (Proj::Tail, format!("{}[1..]", d.name)),
-        };
+        let name = step.child_name(&d.name);
         let mut projs = d.projs.clone();
-        projs.push(proj);
+        projs.push(step.to_proj());
         let base = d.base.clone();
         let child = self.intern(base, projs, Some(ty), name);
         self.proj_cache.insert(key, child);
@@ -582,48 +647,11 @@ impl LocationTable {
             if !funcs.contains(&f) {
                 continue;
             }
-            let function = ir.function(f);
-            let Some(var) = function.vars.get(v.0 as usize) else {
+            let Some(var) = ir.function(f).vars.get(v.0 as usize) else {
                 continue;
             };
-            let mut ty = var.ty.clone();
-            let mut name = var.name.clone();
-            let mut ok = true;
-            for p in &self.data[i].projs {
-                match p {
-                    Proj::Field(fname) => {
-                        let Type::Struct(sid) = ty else {
-                            ok = false;
-                            break;
-                        };
-                        let Some(field) = ir.structs.def(sid).field(fname) else {
-                            ok = false;
-                            break;
-                        };
-                        ty = field.ty.clone();
-                        name.push('.');
-                        name.push_str(fname);
-                    }
-                    Proj::Head => {
-                        let Some(elem) = ty.elem() else {
-                            ok = false;
-                            break;
-                        };
-                        ty = elem.clone();
-                        name.push_str("[0]");
-                    }
-                    Proj::Tail => {
-                        let Some(elem) = ty.elem() else {
-                            ok = false;
-                            break;
-                        };
-                        ty = elem.clone();
-                        name.push_str("[1..]");
-                    }
-                }
-            }
-            if ok {
-                self.data[i].ty = Some(ty);
+            if let Some((ty, name)) = descend(&var.ty, &var.name, &self.data[i].projs, ir) {
+                self.data[i].ty = Some(ty.clone());
                 self.data[i].name = name;
             }
         }
@@ -897,8 +925,7 @@ mod tests {
     #[test]
     fn scoping_and_classification() {
         let ir = tiny_ir();
-        // The old name still works through the alias.
-        let mut t = LocTable::new();
+        let mut t = LocationTable::new();
         let (main_id, _) = ir.function_by_name("main").unwrap();
         let (f1_id, _) = ir.function_by_name("f1").unwrap();
         let x = t.var(&ir, main_id, pta_simple::IrVarId(0));

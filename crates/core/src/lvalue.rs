@@ -5,35 +5,115 @@
 //! reference (or operand) may evaluate to when read as a pointer value.
 //! Both are sets of `(location, D|P)` pairs relative to the current
 //! points-to set `S`.
+//!
+//! This is the only implementation of those rules. A [`RefEnv`] takes
+//! its locations from a [`LocSource`]: the engine's `&mut
+//! LocationTable` interns every location it reaches, and a finished
+//! result's `&LocationTable` only finds locations the analysis already
+//! interned ([`FactQuery`](crate::FactQuery) resolves through it). A
+//! location that was never interned can never appear in a points-to
+//! pair, so dropping it from a read-only answer loses nothing.
 
-use crate::location::{LocBase, LocId, LocationTable, Proj};
+use crate::location::{LocBase, LocId, LocationTable, Proj, Step};
 use crate::points_to_set::{Def, PtSet};
 use pta_cfront::ast::FuncId;
 use pta_simple::{Const, IdxClass, IrProgram, IrProj, Operand, VarBase, VarPath, VarRef};
 
+/// Where a [`RefEnv`] gets its locations from.
+pub trait LocSource {
+    /// True if the source makes every well-typed location it is asked
+    /// for, so a failed projection means the shape does not type-check.
+    const INTERNS: bool;
+    /// The table locations are read from.
+    fn table(&self) -> &LocationTable;
+    /// The root location of `base`.
+    fn root(&mut self, ir: &IrProgram, base: LocBase) -> Option<LocId>;
+    /// [`LocationTable::project`] by an array head or tail.
+    fn element(&mut self, id: LocId, proj: &Proj, ir: &IrProgram) -> Option<LocId>;
+    /// [`LocationTable::project`] by a struct field given by name.
+    fn field(&mut self, id: LocId, field: &str, ir: &IrProgram) -> Option<LocId>;
+}
+
+/// The engine's source: locations are interned on demand.
+impl LocSource for &mut LocationTable {
+    const INTERNS: bool = true;
+
+    fn table(&self) -> &LocationTable {
+        self
+    }
+
+    #[inline]
+    fn root(&mut self, ir: &IrProgram, base: LocBase) -> Option<LocId> {
+        Some(match base {
+            LocBase::Global(g) => self.global(ir, g),
+            LocBase::Var(f, v) => self.var(ir, f, v),
+            LocBase::Function(f) => self.function(ir, f),
+            LocBase::StrLit => self.strlit(),
+            LocBase::Null => self.null(),
+            // No reference names these roots directly.
+            _ => return self.lookup(&base, &[]),
+        })
+    }
+
+    #[inline]
+    fn element(&mut self, id: LocId, proj: &Proj, ir: &IrProgram) -> Option<LocId> {
+        self.project(id, proj, ir)
+    }
+
+    #[inline]
+    fn field(&mut self, id: LocId, field: &str, ir: &IrProgram) -> Option<LocId> {
+        self.project_field(id, field, ir)
+    }
+}
+
+/// A finished result's source: locations are only found, never made.
+impl LocSource for &LocationTable {
+    const INTERNS: bool = false;
+
+    fn table(&self) -> &LocationTable {
+        self
+    }
+
+    fn root(&mut self, _: &IrProgram, base: LocBase) -> Option<LocId> {
+        self.lookup(&base, &[])
+    }
+
+    fn element(&mut self, id: LocId, proj: &Proj, ir: &IrProgram) -> Option<LocId> {
+        self.find_step(id, proj.into(), ir)
+    }
+
+    fn field(&mut self, id: LocId, field: &str, ir: &IrProgram) -> Option<LocId> {
+        self.find_step(id, Step::Field(field), ir)
+    }
+}
+
 /// Context needed to resolve references to locations.
-pub struct RefEnv<'a> {
+pub struct RefEnv<'a, L = &'a mut LocationTable> {
     /// The program.
     pub ir: &'a IrProgram,
     /// The function whose scope references are resolved in.
     pub func: FuncId,
-    /// The location table (locations are interned on demand).
-    pub locs: &'a mut LocationTable,
+    /// Where locations come from.
+    pub locs: L,
 }
 
-impl RefEnv<'_> {
-    fn base_loc(&mut self, base: VarBase) -> LocId {
-        match base {
-            VarBase::Global(g) => self.locs.global(self.ir, g),
-            VarBase::Var(v) => self.locs.var(self.ir, self.func, v),
-        }
+impl<L: LocSource> RefEnv<'_, L> {
+    fn base_loc(&mut self, base: VarBase) -> Option<LocId> {
+        let base = match base {
+            VarBase::Global(g) => LocBase::Global(g),
+            VarBase::Var(v) => LocBase::Var(self.func, v),
+        };
+        self.locs.root(self.ir, base)
     }
 
     /// Resolves a dereference-free path to its location set. Constant
     /// indices are precise (`D`); unknown indices yield both the head
     /// and tail locations, possibly (`P`).
     pub fn path_locs(&mut self, path: &VarPath) -> Vec<(LocId, Def)> {
-        let mut cur = vec![(self.base_loc(path.base), Def::D)];
+        let Some(base) = self.base_loc(path.base) else {
+            return Vec::new();
+        };
+        let mut cur = vec![(base, Def::D)];
         for proj in &path.projs {
             cur = self.apply_proj(&cur, proj);
         }
@@ -45,25 +125,25 @@ impl RefEnv<'_> {
         for (l, d) in cur {
             match proj {
                 IrProj::Field(f) => {
-                    if let Some(n) = self.locs.project_field(*l, f, self.ir) {
+                    if let Some(n) = self.locs.field(*l, f, self.ir) {
                         push_unique(&mut out, n, *d);
                     }
                 }
                 IrProj::Index(IdxClass::Zero) => {
-                    if let Some(n) = self.locs.project(*l, &Proj::Head, self.ir) {
+                    if let Some(n) = self.locs.element(*l, &Proj::Head, self.ir) {
                         push_unique(&mut out, n, *d);
                     }
                 }
                 IrProj::Index(IdxClass::Positive) => {
-                    if let Some(n) = self.locs.project(*l, &Proj::Tail, self.ir) {
+                    if let Some(n) = self.locs.element(*l, &Proj::Tail, self.ir) {
                         push_unique(&mut out, n, *d);
                     }
                 }
                 IrProj::Index(IdxClass::Unknown) => {
-                    if let Some(n) = self.locs.project(*l, &Proj::Head, self.ir) {
+                    if let Some(n) = self.locs.element(*l, &Proj::Head, self.ir) {
                         push_unique(&mut out, n, Def::P);
                     }
-                    if let Some(n) = self.locs.project(*l, &Proj::Tail, self.ir) {
+                    if let Some(n) = self.locs.element(*l, &Proj::Tail, self.ir) {
                         push_unique(&mut out, n, Def::P);
                     }
                 }
@@ -72,21 +152,26 @@ impl RefEnv<'_> {
         out
     }
 
+    fn is_null_or_function(&self, t: LocId) -> bool {
+        let table = self.locs.table();
+        table.is_null(t) || table.is_function(t)
+    }
+
     /// Shifts a points-to target by a pointer-arithmetic class, under the
     /// paper's assumption that array pointers stay inside their array
     /// (§6). Shifting `null` or a function drops the target.
     pub fn shift_loc(&mut self, t: LocId, class: IdxClass) -> Vec<(LocId, Def)> {
-        if self.locs.is_null(t) || self.locs.is_function(t) {
+        if self.is_null_or_function(t) {
             return Vec::new();
         }
         match class {
             IdxClass::Zero => vec![(t, Def::D)],
-            IdxClass::Positive => vec![(self.tailify(t), Def::D)],
+            IdxClass::Positive => self.tailify(t).map(|tl| (tl, Def::D)).into_iter().collect(),
             IdxClass::Unknown => {
                 let mut v = vec![(t, Def::P)];
-                let tl = self.tailify(t);
-                if tl != t {
-                    v.push((tl, Def::P));
+                match self.tailify(t) {
+                    Some(tl) if tl != t => v.push((tl, Def::P)),
+                    _ => {}
                 }
                 v
             }
@@ -94,24 +179,30 @@ impl RefEnv<'_> {
     }
 
     /// `head → tail` on the last array projection; other shapes stay
-    /// put (pointer arithmetic within the pointed-to object).
-    fn tailify(&mut self, t: LocId) -> LocId {
-        let d = self.locs.get(t);
+    /// put (pointer arithmetic within the pointed-to object). `None` if
+    /// the tail is a location the source does not have.
+    fn tailify(&mut self, t: LocId) -> Option<LocId> {
+        let table = self.locs.table();
+        let d = table.get(t);
         if matches!(
             d.base,
             LocBase::Heap | LocBase::HeapSite(_) | LocBase::StrLit
         ) {
-            return t;
+            return Some(t);
         }
         let Some((Proj::Head, parent_projs)) = d.projs.split_last() else {
-            return t;
+            return Some(t);
         };
         // A child is only ever interned after its parent, so the parent
         // of `x[0]` is always found; staying put is the safe fallback.
-        let Some(parent) = self.locs.lookup(&d.base, parent_projs) else {
-            return t;
+        let Some(parent) = table.lookup(&d.base, parent_projs) else {
+            return Some(t);
         };
-        self.locs.project(parent, &Proj::Tail, self.ir).unwrap_or(t)
+        match self.locs.element(parent, &Proj::Tail, self.ir) {
+            Some(tl) => Some(tl),
+            None if L::INTERNS => Some(t),
+            None => None,
+        }
     }
 
     /// The L-location set of a variable reference (Table 1, middle
@@ -123,9 +214,8 @@ impl RefEnv<'_> {
                 let ptrs = self.path_locs(path);
                 let mut out = Vec::new();
                 for (pl, dl) in ptrs {
-                    let targets: Vec<(LocId, Def)> = set.targets(pl).collect();
-                    for (t, dp) in targets {
-                        if self.locs.is_null(t) || self.locs.is_function(t) {
+                    for (t, dp) in set.targets(pl) {
+                        if self.is_null_or_function(t) {
                             continue; // cannot write through null / code
                         }
                         for (t2, ds) in self.shift_loc(t, *shift) {
@@ -144,6 +234,24 @@ impl RefEnv<'_> {
         }
     }
 
+    /// The targets a dereference goes *through* under `set`: the union
+    /// of the pointer path's target sets, NULL and function targets
+    /// included (unlike [`RefEnv::l_locations`], which drops them).
+    /// This is what dereference diagnostics inspect — did the pointer
+    /// have NULL as a target, or as its *only* target?
+    pub fn deref_base_targets(&mut self, set: &PtSet, r: &VarRef) -> Vec<(LocId, Def)> {
+        let VarRef::Deref { path, .. } = r else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        for (pl, dl) in self.path_locs(path) {
+            for (t, dp) in set.targets(pl) {
+                push_unique(&mut out, t, dl.and(dp));
+            }
+        }
+        out
+    }
+
     /// The R-location set of a variable reference read as a pointer
     /// value (Table 1, right column): one more hop through `S` than the
     /// L-location set.
@@ -160,14 +268,19 @@ impl RefEnv<'_> {
 
     /// The R-location set of an operand in a pointer context.
     pub fn operand_r_locations(&mut self, set: &PtSet, op: &Operand) -> Vec<(LocId, Def)> {
-        match op {
-            Operand::Ref(r) => self.r_locations(set, r),
-            Operand::AddrOf(r) => self.l_locations(set, r),
-            Operand::Func(f) => vec![(self.locs.function(self.ir, *f), Def::D)],
-            Operand::Str(_) => vec![(self.locs.strlit(), Def::P)],
-            Operand::Const(Const::Int(0)) => vec![(self.locs.null(), Def::D)],
-            Operand::Const(_) => Vec::new(),
-        }
+        let (base, d) = match op {
+            Operand::Ref(r) => return self.r_locations(set, r),
+            Operand::AddrOf(r) => return self.l_locations(set, r),
+            Operand::Func(f) => (LocBase::Function(*f), Def::D),
+            Operand::Str(_) => (LocBase::StrLit, Def::P),
+            Operand::Const(Const::Int(0)) => (LocBase::Null, Def::D),
+            Operand::Const(_) => return Vec::new(),
+        };
+        self.locs
+            .root(self.ir, base)
+            .map(|l| (l, d))
+            .into_iter()
+            .collect()
     }
 }
 

@@ -2,23 +2,20 @@
 //!
 //! Client analyses (diagnostics, metrics, IDE integrations) want to ask
 //! "what does this reference resolve to at this point?" without mutating
-//! the analysis state. [`RefEnv`](crate::lvalue::RefEnv) interns
-//! locations on demand and therefore needs `&mut LocationTable`; this
-//! module re-implements the Table 1 resolution rules on top of
-//! [`LocationTable::lookup`] only, so a [`FactQuery`] can be shared
-//! freely. A location that was never interned during the analysis can
-//! never appear in a points-to pair, so dropping it from a query result
-//! (rather than interning it) loses nothing.
+//! the analysis state. A [`FactQuery`] resolves references with the
+//! engine's own Table 1 rules ([`RefEnv`]) over the result's
+//! `&LocationTable`, which finds locations but never interns them, so a
+//! query can be shared freely and never perturbs the result. A location
+//! that was never interned during the analysis can never appear in a
+//! points-to pair, so dropping it from a query result loses nothing.
 
 use crate::analysis::AnalysisResult;
-use crate::location::{LocBase, LocId, Proj};
+use crate::location::{LocId, LocationTable};
+use crate::lvalue::RefEnv;
 use crate::points_to_set::{Def, PtSet};
 use pta_cfront::ast::FuncId;
 use pta_cfront::span::Span;
-use pta_simple::{
-    BasicStmt, CallSiteId, Const, IdxClass, IrProgram, IrProj, Operand, StmtId, VarBase, VarPath,
-    VarRef,
-};
+use pta_simple::{BasicStmt, CallSiteId, IrProgram, Operand, StmtId, VarPath, VarRef};
 use std::collections::BTreeSet;
 
 /// Read-only access to the points-to facts of one analysed program.
@@ -54,163 +51,39 @@ impl<'a> FactQuery<'a> {
         self.ir.span_of(stmt)
     }
 
-    fn base_loc(&self, func: FuncId, base: &VarBase) -> Option<LocId> {
-        let b = match base {
-            VarBase::Global(g) => LocBase::Global(*g),
-            VarBase::Var(v) => LocBase::Var(func, *v),
-        };
-        self.result.locs.lookup(&b, &[])
-    }
-
-    fn project(&self, l: LocId, p: Proj) -> Option<LocId> {
-        let d = self.result.locs.get(l);
-        let mut projs = d.projs.clone();
-        projs.push(p);
-        self.result.locs.lookup(&d.base, &projs)
-    }
-
-    fn apply_proj(&self, cur: &[(LocId, Def)], proj: &IrProj) -> Vec<(LocId, Def)> {
-        let mut out = Vec::new();
-        for (l, d) in cur {
-            match proj {
-                IrProj::Field(f) => {
-                    if let Some(n) = self.project(*l, Proj::Field(f.clone())) {
-                        push_unique(&mut out, n, *d);
-                    }
-                }
-                IrProj::Index(IdxClass::Zero) => {
-                    if let Some(n) = self.project(*l, Proj::Head) {
-                        push_unique(&mut out, n, *d);
-                    }
-                }
-                IrProj::Index(IdxClass::Positive) => {
-                    if let Some(n) = self.project(*l, Proj::Tail) {
-                        push_unique(&mut out, n, *d);
-                    }
-                }
-                IrProj::Index(IdxClass::Unknown) => {
-                    if let Some(n) = self.project(*l, Proj::Head) {
-                        push_unique(&mut out, n, Def::P);
-                    }
-                    if let Some(n) = self.project(*l, Proj::Tail) {
-                        push_unique(&mut out, n, Def::P);
-                    }
-                }
-            }
+    /// Table 1 resolution in `func`'s scope over the result's table,
+    /// which it only reads.
+    pub fn env(&self, func: FuncId) -> RefEnv<'a, &'a LocationTable> {
+        RefEnv {
+            ir: self.ir,
+            func,
+            locs: &self.result.locs,
         }
-        out
     }
 
     /// Resolves a dereference-free path in `func`'s scope (Table 1,
     /// left column). Empty if the path was never materialized.
     pub fn path_locs(&self, func: FuncId, path: &VarPath) -> Vec<(LocId, Def)> {
-        let Some(base) = self.base_loc(func, &path.base) else {
-            return Vec::new();
-        };
-        let mut cur = vec![(base, Def::D)];
-        for proj in &path.projs {
-            cur = self.apply_proj(&cur, proj);
-        }
-        cur
-    }
-
-    fn tailify(&self, t: LocId) -> LocId {
-        let d = self.result.locs.get(t);
-        if matches!(
-            d.base,
-            LocBase::Heap | LocBase::HeapSite(_) | LocBase::StrLit
-        ) {
-            return t;
-        }
-        match d.projs.last() {
-            Some(Proj::Head) => {
-                let mut projs = d.projs.clone();
-                projs.pop();
-                projs.push(Proj::Tail);
-                self.result.locs.lookup(&d.base, &projs).unwrap_or(t)
-            }
-            _ => t,
-        }
-    }
-
-    fn shift_loc(&self, t: LocId, class: IdxClass) -> Vec<(LocId, Def)> {
-        if self.result.locs.is_null(t) || self.result.locs.is_function(t) {
-            return Vec::new();
-        }
-        match class {
-            IdxClass::Zero => vec![(t, Def::D)],
-            IdxClass::Positive => vec![(self.tailify(t), Def::D)],
-            IdxClass::Unknown => {
-                let mut v = vec![(t, Def::P)];
-                let tl = self.tailify(t);
-                if tl != t {
-                    v.push((tl, Def::P));
-                }
-                v
-            }
-        }
+        self.env(func).path_locs(path)
     }
 
     /// The L-location set of a reference under `set` (Table 1, middle
     /// column): the locations a write through `r` could touch. NULL and
     /// function targets are skipped, as in the engine.
     pub fn l_locations(&self, func: FuncId, set: &PtSet, r: &VarRef) -> Vec<(LocId, Def)> {
-        match r {
-            VarRef::Path(p) => self.path_locs(func, p),
-            VarRef::Deref { path, shift, after } => {
-                let ptrs = self.path_locs(func, path);
-                let mut out = Vec::new();
-                for (pl, dl) in ptrs {
-                    for (t, dp) in set.targets(pl) {
-                        if self.result.locs.is_null(t) || self.result.locs.is_function(t) {
-                            continue;
-                        }
-                        for (t2, ds) in self.shift_loc(t, *shift) {
-                            let mut cur = vec![(t2, dl.and(dp).and(ds))];
-                            for proj in after {
-                                cur = self.apply_proj(&cur, proj);
-                            }
-                            for (l, d) in cur {
-                                push_unique(&mut out, l, d);
-                            }
-                        }
-                    }
-                }
-                out
-            }
-        }
+        self.env(func).l_locations(set, r)
     }
 
-    /// The targets a dereference goes *through* under `set`: the union
-    /// of the pointer path's target sets, NULL and function targets
-    /// included (unlike [`FactQuery::l_locations`], which drops them).
-    /// This is what dereference diagnostics inspect — did the pointer
-    /// have NULL as a target, or as its *only* target?
+    /// See [`RefEnv::deref_base_targets`].
     pub fn deref_base_targets(&self, func: FuncId, set: &PtSet, r: &VarRef) -> Vec<(LocId, Def)> {
-        let VarRef::Deref { path, .. } = r else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (pl, dl) in self.path_locs(func, path) {
-            for (t, dp) in set.targets(pl) {
-                push_unique(&mut out, t, dl.and(dp));
-            }
-        }
-        out
+        self.env(func).deref_base_targets(set, r)
     }
 
     /// The R-location set of a reference read as a pointer value
     /// (Table 1, right column): one more hop through `set` than the
     /// L-location set, with definiteness conjunction.
     pub fn r_locations(&self, func: FuncId, set: &PtSet, r: &VarRef) -> Vec<(LocId, Def)> {
-        let ls = self.l_locations(func, set, r);
-        let mut out = Vec::new();
-        for (l, d) in ls {
-            for (t, dp) in set.targets(l) {
-                push_unique(&mut out, t, d.and(dp));
-            }
-        }
-        out
+        self.env(func).r_locations(set, r)
     }
 
     /// The R-location set of an operand in a pointer context.
@@ -220,26 +93,7 @@ impl<'a> FactQuery<'a> {
         set: &PtSet,
         op: &Operand,
     ) -> Vec<(LocId, Def)> {
-        match op {
-            Operand::Ref(r) => self.r_locations(func, set, r),
-            Operand::AddrOf(r) => self.l_locations(func, set, r),
-            Operand::Func(f) => self
-                .result
-                .locs
-                .lookup(&LocBase::Function(*f), &[])
-                .map_or_else(Vec::new, |l| vec![(l, Def::D)]),
-            Operand::Str(_) => self
-                .result
-                .locs
-                .lookup(&LocBase::StrLit, &[])
-                .map_or_else(Vec::new, |l| vec![(l, Def::P)]),
-            Operand::Const(Const::Int(0)) => self
-                .result
-                .locs
-                .lookup(&LocBase::Null, &[])
-                .map_or_else(Vec::new, |l| vec![(l, Def::D)]),
-            Operand::Const(_) => Vec::new(),
-        }
+        self.env(func).operand_r_locations(set, op)
     }
 
     /// The functions on some invocation-graph path from the entry.
@@ -316,21 +170,10 @@ fn for_each_function_operand(b: &BasicStmt, f: &mut impl FnMut(FuncId)) {
     }
 }
 
-fn push_unique(out: &mut Vec<(LocId, Def)>, l: LocId, d: Def) {
-    for (el, ed) in out.iter_mut() {
-        if *el == l {
-            if *ed != d {
-                *ed = Def::P;
-            }
-            return;
-        }
-    }
-    out.push((l, d));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pta_simple::IdxClass;
 
     #[test]
     fn query_matches_engine_resolution() {

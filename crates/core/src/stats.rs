@@ -10,8 +10,8 @@
 
 use crate::analysis::AnalysisResult;
 use crate::location::{LocBase, LocId};
-use crate::lvalue::RefEnv;
 use crate::points_to_set::{Def, PtSet};
+use crate::query::FactQuery;
 use pta_cfront::ast::FuncId;
 use pta_simple::{BasicStmt, CallTarget, CondExpr, IrProgram, Operand, Stmt, StmtId, VarRef};
 
@@ -177,7 +177,7 @@ impl Table6Row {
 }
 
 /// All tables for one benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkStats {
     /// Table 2 row.
     pub t2: Table2Row,
@@ -197,7 +197,7 @@ pub fn compute(
     name: &str,
     source: &str,
     ir: &IrProgram,
-    result: &mut AnalysisResult,
+    result: &AnalysisResult,
 ) -> BenchmarkStats {
     BenchmarkStats {
         t2: table2(name, source, ir, result),
@@ -410,27 +410,14 @@ fn collect_stmt(func: FuncId, s: &Stmt, out: &mut Vec<IndirectRef>) {
 
 /// The points-to pairs a single indirect reference *uses*: the non-NULL
 /// targets of its dereferenced pointer at its program point.
-fn pairs_used(
-    ir: &IrProgram,
-    result: &mut AnalysisResult,
-    occ: &IndirectRef,
-    set: &PtSet,
-) -> Vec<(LocId, LocId, Def)> {
+fn pairs_used(q: &FactQuery<'_>, occ: &IndirectRef, set: &PtSet) -> Vec<(LocId, LocId, Def)> {
     let VarRef::Deref { path, .. } = &occ.r else {
         return Vec::new();
     };
-    let ptr_locs = {
-        let mut env = RefEnv {
-            ir,
-            func: occ.func,
-            locs: &mut result.locs,
-        };
-        env.path_locs(path)
-    };
     let mut out = Vec::new();
-    for (pl, _) in ptr_locs {
+    for (pl, _) in q.path_locs(occ.func, path) {
         for (t, d) in set.targets(pl) {
-            if result.locs.is_null(t) {
+            if q.result.locs.is_null(t) {
                 continue;
             }
             if !out.iter().any(|(a, b, _)| *a == pl && *b == t) {
@@ -442,14 +429,15 @@ fn pairs_used(
 }
 
 /// Table 3.
-pub fn table3(name: &str, ir: &IrProgram, result: &mut AnalysisResult) -> Table3Row {
+pub fn table3(name: &str, ir: &IrProgram, result: &AnalysisResult) -> Table3Row {
+    let q = FactQuery::new(ir, result);
     let mut row = Table3Row {
         name: name.to_owned(),
         ..Default::default()
     };
     for occ in collect_indirect_refs(ir) {
         let set = result.at(occ.stmt);
-        let pairs = pairs_used(ir, result, &occ, &set);
+        let pairs = pairs_used(&q, &occ, &set);
         row.ind_refs += 1;
         let array = occ.r.is_array_style();
         let bump = |slot: &mut (usize, usize)| {
@@ -513,14 +501,15 @@ fn loc_kind(
 }
 
 /// Table 4.
-pub fn table4(name: &str, ir: &IrProgram, result: &mut AnalysisResult) -> Table4Row {
+pub fn table4(name: &str, ir: &IrProgram, result: &AnalysisResult) -> Table4Row {
+    let q = FactQuery::new(ir, result);
     let mut row = Table4Row {
         name: name.to_owned(),
         ..Default::default()
     };
     for occ in collect_indirect_refs(ir) {
         let set = result.at(occ.stmt);
-        let pairs = pairs_used(ir, result, &occ, &set);
+        let pairs = pairs_used(&q, &occ, &set);
         for (src, tgt, _) in pairs {
             if result.locs.is_heap(tgt) {
                 continue; // Table 4 categorizes the To-Stack pairs
@@ -606,8 +595,8 @@ mod tests {
 
     #[test]
     fn table3_classifies_definite_single_target() {
-        let (ir, mut r) = analysed("int x; int main(void){ int *p; p = &x; return *p; }");
-        let t3 = table3("t", &ir, &mut r);
+        let (ir, r) = analysed("int x; int main(void){ int *p; p = &x; return *p; }");
+        let t3 = table3("t", &ir, &r);
         assert_eq!(t3.ind_refs, 1);
         assert_eq!(t3.one_d, (1, 0));
         assert_eq!(t3.scalar_rep, 1);
@@ -618,10 +607,10 @@ mod tests {
 
     #[test]
     fn table3_classifies_two_possible_targets() {
-        let (ir, mut r) = analysed(
+        let (ir, r) = analysed(
             "int x, y, c; int main(void){ int *p; if (c) p = &x; else p = &y; return *p; }",
         );
-        let t3 = table3("t", &ir, &mut r);
+        let t3 = table3("t", &ir, &r);
         assert_eq!(t3.two_p, (1, 0));
         assert_eq!(t3.scalar_rep, 0);
         assert_eq!(t3.tot(), 2);
@@ -629,28 +618,28 @@ mod tests {
 
     #[test]
     fn table3_counts_heap_targets() {
-        let (ir, mut r) = analysed("int main(void){ int *p; p = (int*) malloc(4); return *p; }");
-        let t3 = table3("t", &ir, &mut r);
+        let (ir, r) = analysed("int main(void){ int *p; p = (int*) malloc(4); return *p; }");
+        let t3 = table3("t", &ir, &r);
         assert_eq!(t3.to_heap, 1);
         assert_eq!(t3.one_p, (1, 0)); // single possible target (heap)
     }
 
     #[test]
     fn table3_null_single_target_is_possible() {
-        let (ir, mut r) = analysed("int x, c; int main(void){ int *p; if (c) p = &x; return *p; }");
-        let t3 = table3("t", &ir, &mut r);
+        let (ir, r) = analysed("int x, c; int main(void){ int *p; if (c) p = &x; return *p; }");
+        let t3 = table3("t", &ir, &r);
         // p → {x possibly, null possibly} — counted as "1 P".
         assert_eq!(t3.one_p, (1, 0));
     }
 
     #[test]
     fn table4_classifies_sources_and_targets() {
-        let (ir, mut r) = analysed(
+        let (ir, r) = analysed(
             "int g;
              int f(int *p) { return *p; }
              int main(void){ return f(&g); }",
         );
-        let t4 = table4("t", &ir, &mut r);
+        let t4 = table4("t", &ir, &r);
         // The deref of the formal p uses pair (p → g): from fp, to gl.
         assert_eq!(t4.from.fp, 1);
         assert_eq!(t4.to.gl, 1);
@@ -658,11 +647,11 @@ mod tests {
 
     #[test]
     fn table4_symbolic_targets() {
-        let (ir, mut r) = analysed(
+        let (ir, r) = analysed(
             "void f(int **pp) { int *t; t = *pp; }
              int main(void){ int x; int *q; q = &x; f(&q); return 0; }",
         );
-        let t4 = table4("t", &ir, &mut r);
+        let t4 = table4("t", &ir, &r);
         assert!(t4.to.sy >= 1, "expected symbolic targets, got {t4:?}");
     }
 
@@ -694,8 +683,8 @@ mod tests {
     #[test]
     fn compute_produces_all_tables() {
         let src = "int x; int main(void){ int *p; p = &x; return *p; }";
-        let (ir, mut r) = analysed(src);
-        let all = compute("tiny", src, &ir, &mut r);
+        let (ir, r) = analysed(src);
+        let all = compute("tiny", src, &ir, &r);
         assert_eq!(all.t2.name, "tiny");
         assert_eq!(all.t3.ind_refs, 1);
         assert_eq!(all.t6.ig_nodes, 1);

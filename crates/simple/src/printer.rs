@@ -265,7 +265,9 @@ fn binop_str(op: BinaryOp) -> &'static str {
     }
 }
 
-fn basic_str(p: &IrProgram, f: &IrFunction, b: &BasicStmt) -> String {
+/// Renders one basic statement as it appears in [`print_function`]
+/// (without the program-point suffix).
+pub fn basic_str(p: &IrProgram, f: &IrFunction, b: &BasicStmt) -> String {
     match b {
         BasicStmt::Copy { lhs, rhs } => {
             format!("{} = {};", ref_str(p, f, lhs), operand_str(p, f, rhs))

@@ -35,9 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     "#;
 
-    let mut pta = run_source(source)?;
-    let ir = pta.ir.clone();
-    let replacements = replaceable_refs(&ir, &mut pta.result);
+    let pta = run_source(source)?;
+    let replacements = replaceable_refs(&pta.ir, &pta.result);
 
     println!("Replaceable indirect references:");
     for r in &replacements {

@@ -137,11 +137,36 @@ fn definiteness_invariant_holds_on_the_suite() {
 }
 
 #[test]
+fn clients_leave_the_finished_result_alone() {
+    // A finished result is read-only: running a client before the
+    // statistics must not move them (Table 2 counts interned rows).
+    for b in benchsuite::SUITE {
+        let a = benchsuite::analyse(*b).unwrap();
+        let before = stats::compute(b.name, b.source, &a.ir, &a.result);
+        let rows = a.result.locs.len();
+        let reps = pta::apps::replaceable_refs(&a.ir, &a.result);
+        assert_eq!(a.result.locs.len(), rows, "{}: {reps:?}", b.name);
+        let after = stats::compute(b.name, b.source, &a.ir, &a.result);
+        assert_eq!(before, after, "{}", b.name);
+        if b.name == "travel" {
+            let t2 = &after.t2;
+            assert_eq!((t2.min_vars, t2.max_vars), (9, 12), "travel abstract stack");
+            assert!(
+                reps.iter().any(
+                    |r| r.to_string() == "greedy_tour@s37: (*cur).visited -> cities[0].visited"
+                ),
+                "a projection the engine never interned is still named: {reps:?}"
+            );
+        }
+    }
+}
+
+#[test]
 fn applications_run_on_the_whole_suite() {
     for b in benchsuite::all_benchmarks() {
         let mut a = benchsuite::analyse(b).unwrap();
         let ir = a.ir.clone();
-        let reps = pta::apps::replaceable_refs(&ir, &mut a.result);
+        let reps = pta::apps::replaceable_refs(&ir, &a.result);
         let cg = pta::apps::call_graph(&ir, &a.result);
         let rw = pta::apps::stmt_rw_sets(&ir, &mut a.result);
         assert!(cg.edge_count() > 0, "{}", b.name);

@@ -555,6 +555,116 @@ fn demand_rooted_answers_equal_exhaustive_on_generated_programs() {
 }
 
 // ---------------------------------------------------------------------
+// Read-only Table 1 resolution ≡ the engine's interning resolution
+// ---------------------------------------------------------------------
+
+/// Resolves every reference of every reached basic statement twice:
+/// read-only over the result's table (`FactQuery`), and interning on a
+/// clone of it, keeping only the ids that existed before. Returns how
+/// many references were compared.
+fn assert_read_only_resolution_matches(name: &str, source: &str) -> usize {
+    let ir = pta::simple::compile(source).unwrap();
+    let result = pta::core::analyze(&ir).unwrap();
+    let q = pta::core::FactQuery::new(&ir, &result);
+    let before = result.locs.len();
+    let known = |v: Vec<(LocId, Def)>| -> Vec<(LocId, Def)> {
+        v.into_iter()
+            .filter(|(l, _)| (l.0 as usize) < before)
+            .collect()
+    };
+    let mut checked = 0;
+    for (func, f) in ir.defined_functions() {
+        let Some(body) = &f.body else { continue };
+        body.for_each_basic(&mut |b, id| {
+            if !q.reached(id) {
+                return;
+            }
+            let set = q.at(id);
+            let mut locs = result.locs.clone();
+            let mut interning = pta::core::lvalue::RefEnv {
+                ir: &ir,
+                func,
+                locs: &mut locs,
+            };
+            let mut read_only = q.env(func);
+            let mut refs = Vec::new();
+            refs_of(b, &mut refs);
+            for r in refs {
+                let (VarRef::Path(path) | VarRef::Deref { path, .. }) = r;
+                let what = format!(
+                    "{name}: {}@{id} `{}`",
+                    f.name,
+                    pta::simple::printer::ref_str(&ir, f, r)
+                );
+                assert_eq!(
+                    read_only.path_locs(path),
+                    known(interning.path_locs(path)),
+                    "path of {what}"
+                );
+                assert_eq!(
+                    read_only.l_locations(&set, r),
+                    known(interning.l_locations(&set, r)),
+                    "L-locations of {what}"
+                );
+                assert_eq!(
+                    read_only.r_locations(&set, r),
+                    known(interning.r_locations(&set, r)),
+                    "R-locations of {what}"
+                );
+                assert_eq!(
+                    read_only.deref_base_targets(&set, r),
+                    known(interning.deref_base_targets(&set, r)),
+                    "dereferenced targets of {what}"
+                );
+                checked += 1;
+            }
+        });
+    }
+    checked
+}
+
+#[test]
+fn read_only_resolution_matches_interning_on_generated_programs() {
+    check("read-only ≡ interning resolution", 40, |g| {
+        let family = *g.pick(pta_prop::cgen::FAMILIES);
+        let source = pta_prop::cgen::generate(family, g);
+        assert!(assert_read_only_resolution_matches(family, &source) > 0);
+    });
+}
+
+#[test]
+fn read_only_resolution_matches_interning_on_the_suite_and_lint_corpus() {
+    // These reach heap structs, arrays and pointer arithmetic, which
+    // the generated programs do not.
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/programs/lint");
+    let mut sources: Vec<(String, String)> = pta::benchsuite::all_benchmarks()
+        .iter()
+        .map(|b| (b.name.to_owned(), b.source.to_owned()))
+        .collect();
+    for entry in std::fs::read_dir(corpus).unwrap() {
+        let p = entry.unwrap().path();
+        if p.extension().is_some_and(|e| e == "c") {
+            sources.push((
+                p.display().to_string(),
+                std::fs::read_to_string(&p).unwrap(),
+            ));
+        }
+    }
+    // `*(p + k)` in a non-pointer copy: the engine never interns the
+    // `a[1..]` it reads, so the read-only answer drops it rather than
+    // staying on `a[0]`.
+    sources.push((
+        "tail-read".to_owned(),
+        "int a[4]; int main(void) { int *p; int x; p = &a[0]; x = p[1]; return x; }".to_owned(),
+    ));
+    let checked: usize = sources
+        .iter()
+        .map(|(name, source)| assert_read_only_resolution_matches(name, source))
+        .sum();
+    assert!(checked > 1000, "{checked} references");
+}
+
+// ---------------------------------------------------------------------
 // Memo scope: program scope reproduces node scope id for id
 // ---------------------------------------------------------------------
 

@@ -212,8 +212,8 @@ fn ladder_fallback_precision_is_no_better_than_full() {
     for name in ["hash", "travel"] {
         let b = pta::benchsuite::benchmark(name).unwrap();
         let ir = pta::simple::compile(b.source).unwrap();
-        let mut full = analyze_with(&ir, config()).unwrap();
-        let full_avg = stats::table3(name, &ir, &mut full).avg();
+        let full = analyze_with(&ir, config()).unwrap();
+        let full_avg = stats::table3(name, &ir, &full).avg();
         let out = analyze_resilient(
             &ir,
             AnalysisConfig {
@@ -222,8 +222,7 @@ fn ladder_fallback_precision_is_no_better_than_full() {
             },
         )
         .unwrap();
-        let mut degraded = out.result;
-        let degraded_avg = stats::table3(name, &ir, &mut degraded).avg();
+        let degraded_avg = stats::table3(name, &ir, &out.result).avg();
         assert!(
             degraded_avg >= full_avg - 1e-9,
             "{name}: degraded avg {degraded_avg} < full avg {full_avg}"
